@@ -43,8 +43,15 @@ class Sink : public SimNode {
   std::uint64_t received = 0;
 };
 
+// Args {nodes, all_to_all}. {50, 0}: 2000 point-to-point sends spread over
+// 50 nodes. {20, 1}: the consensus-bound workload's shape - 20 validators,
+// each broadcasting one message to the other 19 (one EST or AUX step of a
+// binary instance), 5 steps, so 1900 deliveries per iteration.
 void BM_NetworkDelivery(benchmark::State& state) {
-  const std::size_t node_count = 50;
+  const auto node_count = static_cast<std::size_t>(state.range(0));
+  const bool all_to_all = state.range(1) != 0;
+  const std::size_t sends =
+      all_to_all ? 5 * node_count * (node_count - 1) : 2000;
   for (auto _ : state) {
     Simulation sim;
     NetworkConfig config;
@@ -57,17 +64,31 @@ void BM_NetworkDelivery(benchmark::State& state) {
                                              regions[i]));
       net.attach(nodes.back().get());
     }
-    auto blob = std::make_shared<Blob>(300);
-    for (std::size_t i = 0; i < 2000; ++i) {
-      nodes[i % node_count]->send(
-          static_cast<NodeId>((i * 7) % node_count), blob);
+    auto blob = std::make_shared<Blob>(all_to_all ? 90 : 300);
+    if (all_to_all) {
+      for (int step = 0; step < 5; ++step) {
+        for (std::size_t from = 0; from < node_count; ++from) {
+          for (std::size_t to = 0; to < node_count; ++to) {
+            if (to != from) nodes[from]->send(static_cast<NodeId>(to), blob);
+          }
+        }
+      }
+    } else {
+      for (std::size_t i = 0; i < sends; ++i) {
+        nodes[i % node_count]->send(
+            static_cast<NodeId>((i * 7) % node_count), blob);
+      }
     }
     sim.run_until_idle();
     benchmark::DoNotOptimize(net.total_messages());
   }
-  state.SetItemsProcessed(state.iterations() * 2000);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sends));
 }
-BENCHMARK(BM_NetworkDelivery);
+BENCHMARK(BM_NetworkDelivery)
+    ->ArgNames({"nodes", "all_to_all"})
+    ->Args({50, 0})
+    ->Args({20, 1});
 
 void BM_GossipOverlayBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

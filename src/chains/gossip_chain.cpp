@@ -31,13 +31,18 @@ void GossipChainNode::start() {
 void GossipChainNode::handle_message(sim::NodeId from,
                                      const sim::MessagePtr& message) {
   if (crashed_) return;
-  if (const auto* client = dynamic_cast<const node::ClientTxMsg*>(message.get())) {
-    on_client_tx(from, client->tx);
-  } else if (const auto* gossip =
-                 dynamic_cast<const node::GossipTxMsg*>(message.get())) {
-    on_gossip_tx(from, gossip->tx);
-  } else if (const auto* block = dynamic_cast<const GossipBlockMsg*>(message.get())) {
-    on_block(from, block->block);
+  switch (message->kind) {
+    case sim::MsgKind::kClientTx:
+      on_client_tx(from, sim::msg_cast<node::ClientTxMsg>(message)->tx);
+      break;
+    case sim::MsgKind::kGossipTx:
+      on_gossip_tx(from, sim::msg_cast<node::GossipTxMsg>(message)->tx);
+      break;
+    case sim::MsgKind::kGossipBlock:
+      on_block(from, sim::msg_cast<GossipBlockMsg>(message)->block);
+      break;
+    default:
+      break;
   }
 }
 

@@ -26,7 +26,7 @@
 namespace srbb::chains {
 
 /// A block gossiped between modern-chain validators.
-struct GossipBlockMsg final : sim::Message {
+struct GossipBlockMsg final : sim::TaggedMessage<sim::MsgKind::kGossipBlock> {
   txn::BlockPtr block;
 
   std::size_t size_bytes() const override { return block->wire_size(); }

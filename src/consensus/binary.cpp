@@ -23,15 +23,12 @@ void BinaryConsensus::on_est(std::uint32_t from, std::uint32_t r, bool value) {
     return;
   }
   RoundState& state = round_state(r);
-  state.est_from[value ? 1 : 0].insert(from);
+  const int v = value ? 1 : 0;
+  if (state.from.set(from, kEstFrom[v])) ++state.est_count[v];
   // BV-broadcast echo rule: t+1 copies of a value we have not yet sent.
-  if (state.est_from[value ? 1 : 0].size() >= quorums_.amplify()) {
-    broadcast_est(r, value);
-  }
+  if (state.est_count[v] >= quorums_.amplify()) broadcast_est(r, value);
   // Binding rule: 2t+1 copies -> the value enters bin_values.
-  if (state.est_from[value ? 1 : 0].size() >= quorums_.binding()) {
-    state.bin_values[value ? 1 : 0] = true;
-  }
+  if (state.est_count[v] >= quorums_.binding()) state.bin_values[v] = true;
   try_advance();
 }
 
@@ -41,18 +38,18 @@ void BinaryConsensus::on_aux(std::uint32_t from, std::uint32_t r, bool value) {
     return;
   }
   RoundState& state = round_state(r);
-  state.aux_from.emplace(from, value);  // first AUX per peer counts
+  // First AUX per peer counts.
+  if (state.from.set(from, kAuxFrom)) ++state.aux_count[value ? 1 : 0];
   try_advance();
 }
 
 void BinaryConsensus::on_decided(std::uint32_t from, bool value) {
   if (decided_) return;
-  decided_from_[value ? 1 : 0].insert(from);
+  const int v = value ? 1 : 0;
+  if (decided_from_.set(from, kDecidedFrom[v])) ++decided_count_[v];
   // t+1 matching decisions include one from a correct node, whose decision
   // is safe to adopt.
-  if (decided_from_[value ? 1 : 0].size() >= quorums_.adoption()) {
-    decide(value);
-  }
+  if (decided_count_[v] >= quorums_.adoption()) decide(value);
 }
 
 void BinaryConsensus::try_advance() {
@@ -92,13 +89,12 @@ void BinaryConsensus::advance_loop() {
     }
 
     // Completion check: n-t AUX values all inside bin_values.
-    std::size_t in_bin = 0;
+    std::uint32_t in_bin = 0;
     bool saw[2] = {false, false};
-    for (const auto& [peer, value] : state.aux_from) {
-      if (state.bin_values[value ? 1 : 0]) {
-        ++in_bin;
-        saw[value ? 1 : 0] = true;
-      }
+    for (const int v : {0, 1}) {
+      if (!state.bin_values[v]) continue;
+      in_bin += state.aux_count[v];
+      saw[v] = state.aux_count[v] > 0;
     }
     if (in_bin < quorums_.supermajority()) return;  // wait for more AUX
 
@@ -129,7 +125,7 @@ void BinaryConsensus::rebroadcast() {
   // another still waits for a lost round-r AUX); re-sending only the current
   // round would leave the laggard starved forever, deadlocking the instance
   // even though everyone rebroadcasts. Rounds stay few (the parity coin
-  // converges quickly), and receivers deduplicate via per-round sender sets,
+  // converges quickly), and receivers deduplicate via per-round sender flags,
   // so re-sending the full history is cheap and always safe. Iterating the
   // std::map is deterministic (ordered by round).
   for (const auto& [r, state] : rounds_) {

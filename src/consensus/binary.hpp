@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
+#include <vector>
 
 #include "consensus/quorum.hpp"
 
@@ -59,7 +59,7 @@ class BinaryConsensus {
   std::uint32_t round() const { return round_; }
   /// DECIDED announcements received for `value` (harness diagnostics).
   std::size_t decided_votes(bool value) const {
-    return decided_from_[value ? 1 : 0].size();
+    return decided_count_[value ? 1 : 0];
   }
 
   // Message inputs (from peer `from`, deduplicated internally).
@@ -75,16 +75,56 @@ class BinaryConsensus {
   void rebroadcast();
 
  private:
+  /// Per-sender flag bits. Sender ranks are chosen by peers and may reach
+  /// past n (a membership view's effective n is below the committee size),
+  /// so ranks below kDenseRanks index a byte array grown on demand and any
+  /// larger rank falls back to a map.
+  class SenderFlags {
+   public:
+    explicit SenderFlags(std::uint32_t n) : dense_(n, 0) {}
+    /// Set `bit` for `rank`; true when it was not set before.
+    bool set(std::uint32_t rank, std::uint8_t bit) {
+      std::uint8_t& bits = at(rank);
+      if ((bits & bit) != 0) return false;
+      bits |= bit;
+      return true;
+    }
+
+   private:
+    static constexpr std::uint32_t kDenseRanks = 1024;
+    std::uint8_t& at(std::uint32_t rank) {
+      if (rank >= dense_.size()) {
+        if (rank >= kDenseRanks) return sparse_[rank];
+        dense_.resize(rank + 1, 0);
+      }
+      return dense_[rank];
+    }
+    std::vector<std::uint8_t> dense_;
+    std::map<std::uint32_t, std::uint8_t> sparse_;
+  };
+  /// SenderFlags bits, indexed by value where the value matters. A round's
+  /// flags record EST per value and the first AUX (whose value is counted
+  /// in aux_count); decided_from_ records DECIDED per value.
+  static constexpr std::uint8_t kEstFrom[2] = {1, 2};
+  static constexpr std::uint8_t kAuxFrom = 4;
+  static constexpr std::uint8_t kDecidedFrom[2] = {1, 2};
+
   struct RoundState {
-    std::set<std::uint32_t> est_from[2];
+    explicit RoundState(std::uint32_t n) : from(n) {}
+    SenderFlags from;
+    std::uint32_t est_count[2] = {0, 0};  // distinct EST senders per value
+    std::uint32_t aux_count[2] = {0, 0};  // first AUX per sender, by value
     bool est_sent[2] = {false, false};
     bool bin_values[2] = {false, false};
-    std::map<std::uint32_t, bool> aux_from;
     bool aux_sent = false;
     bool aux_value = false;  // what we sent, for rebroadcast()
   };
 
-  RoundState& round_state(std::uint32_t r) { return rounds_[r]; }
+  /// The state of round r, created on first use. Rounds stay in an ordered
+  /// map: peers choose round numbers, and rebroadcast() walks them in order.
+  RoundState& round_state(std::uint32_t r) {
+    return rounds_.try_emplace(r, quorums_.n).first->second;
+  }
   void broadcast_est(std::uint32_t r, bool value);
   /// Reentrancy-safe: a callback that synchronously self-delivers a message
   /// (re-entering on_est/on_aux) only marks the machine dirty; the outer
@@ -102,7 +142,8 @@ class BinaryConsensus {
   bool est_ = false;
   std::uint32_t round_ = 0;
   std::map<std::uint32_t, RoundState> rounds_;
-  std::set<std::uint32_t> decided_from_[2];
+  SenderFlags decided_from_{quorums_.n};
+  std::uint32_t decided_count_[2] = {0, 0};
   bool advancing_ = false;
   bool dirty_ = false;
 };

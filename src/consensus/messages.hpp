@@ -11,7 +11,7 @@
 namespace srbb::consensus {
 
 /// Proposal for index k from its proposer (also the reply to a PULL).
-struct ProposeMsg final : sim::Message {
+struct ProposeMsg final : sim::TaggedMessage<sim::MsgKind::kPropose> {
   std::uint64_t index = 0;
   txn::BlockPtr block;
 
@@ -20,7 +20,7 @@ struct ProposeMsg final : sim::Message {
 };
 
 /// Echo of proposer `proposer`'s block hash at index k (reliable broadcast).
-struct EchoMsg final : sim::Message {
+struct EchoMsg final : sim::TaggedMessage<sim::MsgKind::kEcho> {
   std::uint64_t index = 0;
   std::uint32_t proposer = 0;
   Hash32 block_hash;
@@ -31,7 +31,7 @@ struct EchoMsg final : sim::Message {
 
 /// Request the proposal body for (index, proposer) after deciding 1 without
 /// having received the block.
-struct PullMsg final : sim::Message {
+struct PullMsg final : sim::TaggedMessage<sim::MsgKind::kPull> {
   std::uint64_t index = 0;
   std::uint32_t proposer = 0;
 
@@ -42,7 +42,7 @@ struct PullMsg final : sim::Message {
 enum class BinPhase : std::uint8_t { kEst, kAux };
 
 /// Binary consensus message for instance (index, proposer).
-struct BinMsg final : sim::Message {
+struct BinMsg final : sim::TaggedMessage<sim::MsgKind::kBin> {
   std::uint64_t index = 0;
   std::uint32_t proposer = 0;
   std::uint32_t round = 0;
@@ -57,7 +57,7 @@ struct BinMsg final : sim::Message {
 
 /// Decision announcement for instance (index, proposer); lets late nodes
 /// finish via the t+1 rule.
-struct DecidedMsg final : sim::Message {
+struct DecidedMsg final : sim::TaggedMessage<sim::MsgKind::kDecided> {
   std::uint64_t index = 0;
   std::uint32_t proposer = 0;
   bool value = false;

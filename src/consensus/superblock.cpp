@@ -120,16 +120,24 @@ void SuperblockInstance::begin(txn::BlockPtr own_proposal) {
 
 void SuperblockInstance::handle(std::uint32_t from,
                                 const sim::MessagePtr& message) {
-  if (const auto* propose = dynamic_cast<const ProposeMsg*>(message.get())) {
-    on_propose(from, *propose);
-  } else if (const auto* echo = dynamic_cast<const EchoMsg*>(message.get())) {
-    on_echo(from, *echo);
-  } else if (const auto* pull = dynamic_cast<const PullMsg*>(message.get())) {
-    on_pull(from, *pull);
-  } else if (const auto* bin = dynamic_cast<const BinMsg*>(message.get())) {
-    on_bin_msg(from, *bin);
-  } else if (const auto* dec = dynamic_cast<const DecidedMsg*>(message.get())) {
-    on_decided_msg(from, *dec);
+  switch (message->kind) {
+    case sim::MsgKind::kPropose:
+      on_propose(from, *sim::msg_cast<ProposeMsg>(message));
+      break;
+    case sim::MsgKind::kEcho:
+      on_echo(from, *sim::msg_cast<EchoMsg>(message));
+      break;
+    case sim::MsgKind::kPull:
+      on_pull(from, *sim::msg_cast<PullMsg>(message));
+      break;
+    case sim::MsgKind::kBin:
+      on_bin_msg(from, *sim::msg_cast<BinMsg>(message));
+      break;
+    case sim::MsgKind::kDecided:
+      on_decided_msg(from, *sim::msg_cast<DecidedMsg>(message));
+      break;
+    default:
+      break;  // not a consensus message
   }
 }
 
@@ -142,17 +150,18 @@ void SuperblockInstance::on_propose(std::uint32_t from, const ProposeMsg& msg) {
   // answer a PULL, which also lands here.
   (void)from;
   ProposalSlot& slot = slots_[proposer];
+  if (slot.block != nullptr) return;  // first valid body wins
   const Hash32 block_hash = msg.block->hash();
   if (slot.delivered_hash.has_value() && *slot.delivered_hash != block_hash) {
     return;  // body does not match the echo-quorum hash
   }
-  if (slot.block != nullptr) return;  // first valid body wins
   // Discard blocks with invalid headers before consensus (Alg. 1 line 16).
   if (!txn::verify_block_certificate(*msg.block, *config_.scheme)) return;
   if (cb_.validate_header && !cb_.validate_header(*msg.block)) return;
   if (msg.block->header.index != index_) return;
 
   slot.block = msg.block;
+  slot.block_hash = block_hash;
   if (!slot.echoed) {
     slot.echoed = true;
     slot.echoed_hash = block_hash;
@@ -204,8 +213,7 @@ void SuperblockInstance::record_echo(std::uint32_t proposer, std::uint32_t from,
       senders.size() >= quorums_.supermajority()) {
     // Quorum intersection makes this hash unique for the slot.
     slot.delivered_hash = hash;
-    const bool have_body =
-        slot.block != nullptr && slot.block->hash() == hash;
+    const bool have_body = slot.block != nullptr && slot.block_hash == hash;
     if (have_body) {
       if (!slot.bin_started && !timeout_fired_) start_bin(proposer, true);
     } else if (slot.block != nullptr) {
@@ -317,7 +325,7 @@ void SuperblockInstance::start_bin(std::uint32_t proposer, bool input) {
 
 bool SuperblockInstance::slot_ready(const ProposalSlot& slot) const {
   return slot.delivered_hash.has_value() && slot.block != nullptr &&
-         slot.block->hash() == *slot.delivered_hash;
+         slot.block_hash == *slot.delivered_hash;
 }
 
 bool SuperblockInstance::quorum_certified(const ProposalSlot& slot) const {

@@ -123,6 +123,9 @@ class SuperblockInstance {
  private:
   struct ProposalSlot {
     txn::BlockPtr block;            // body as received (hash-checked)
+    // block->hash(), computed once in on_propose. Blocks are immutable
+    // (BlockPtr is shared_ptr<const Block>), so it cannot go stale.
+    Hash32 block_hash;
     std::optional<Hash32> delivered_hash;  // fixed by n-f echoes
     std::map<Hash32, std::set<std::uint32_t>> echoes;
     bool echoed = false;

@@ -47,7 +47,7 @@ void ClientNode::dispatch(const txn::TxPtr& tx, sim::NodeId target,
 }
 
 void ClientNode::handle_message(sim::NodeId, const sim::MessagePtr& message) {
-  const auto* ack = dynamic_cast<const node::CommitAckMsg*>(message.get());
+  const auto* ack = sim::msg_cast<node::CommitAckMsg>(message);
   if (ack == nullptr) return;
   if (committed_.contains(ack->tx_hash)) return;  // duplicate ack
   if (!sent_at_.contains(ack->tx_hash)) return;   // not ours

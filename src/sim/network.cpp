@@ -119,7 +119,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
   }
 }
 
-void Network::deliver_copy(NodeId from, NodeId to, MessagePtr message,
+void Network::deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
                            std::size_t bytes, SimDuration extra_delay) {
   SimNode* sender = nodes_[from];
   SimNode* receiver = nodes_[to];
@@ -144,14 +144,34 @@ void Network::deliver_copy(NodeId from, NodeId to, MessagePtr message,
       std::max(arrival, receiver_nic.ingress_free_at) + tx_delay;
   receiver_nic.ingress_free_at = ingress_done;
 
-  sim_.schedule_at(ingress_done, [this, receiver, from, to,
-                                  message = std::move(message), bytes]() {
-    // A node that crashed while the message was in flight loses it.
-    if (faults_ != nullptr && faults_->node_down(to, sim_.now())) return;
-    receiver->stats_.messages_received += 1;
-    receiver->stats_.bytes_received += bytes;
-    receiver->handle_message(from, message);
-  });
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  in_flight_[slot] = InFlight{from, to, bytes, message};
+  sim_.schedule_at(ingress_done, [this, slot] { deliver(slot); });
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Free the slot before the handler runs: the handler may send, which can
+  // grow in_flight_ and invalidate any reference into it.
+  InFlight& entry = in_flight_[slot];
+  const NodeId from = entry.from;
+  const NodeId to = entry.to;
+  const std::size_t bytes = entry.bytes;
+  const MessagePtr message = std::move(entry.message);
+  free_slots_.push_back(slot);
+
+  // A node that crashed while the message was in flight loses it.
+  if (faults_ != nullptr && faults_->node_down(to, sim_.now())) return;
+  SimNode* receiver = nodes_[to];
+  receiver->stats_.messages_received += 1;
+  receiver->stats_.bytes_received += bytes;
+  receiver->handle_message(from, message);
 }
 
 }  // namespace srbb::sim

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -20,13 +21,51 @@ namespace srbb::sim {
 
 using NodeId = std::uint32_t;
 
+/// Every shipped wire message type, one tag each. Receivers dispatch on the
+/// tag (a byte compare) instead of a dynamic_cast chain per message.
+enum class MsgKind : std::uint8_t {
+  kOther,  // untagged: test- and bench-local payloads
+  kPropose,
+  kEcho,
+  kPull,
+  kBin,
+  kDecided,
+  kClientTx,
+  kGossipTx,
+  kCommitAck,
+  kSyncRequest,
+  kSyncResponse,
+  kGossipBlock,
+};
+
 /// Wire payloads: immutable, shared, size-accounted.
 struct Message {
+  Message() = default;
+  explicit Message(MsgKind message_kind) : kind(message_kind) {}
   virtual ~Message() = default;
   virtual std::size_t size_bytes() const = 0;
   virtual const char* type() const = 0;
+
+  const MsgKind kind = MsgKind::kOther;
 };
 using MessagePtr = std::shared_ptr<const Message>;
+
+/// Base of a shipped message type: declares its tag once, as T::kKind.
+template <MsgKind K>
+struct TaggedMessage : Message {
+  static constexpr MsgKind kKind = K;
+  TaggedMessage() : Message(K) {}
+};
+
+/// The message as `T` when its tag is T's, else null. `T` must be a final
+/// TaggedMessage type, so the tag compare is exact.
+template <typename T>
+const T* msg_cast(const MessagePtr& message) {
+  static_assert(std::is_final_v<T> && T::kKind != MsgKind::kOther);
+  return message != nullptr && message->kind == T::kKind
+             ? static_cast<const T*>(message.get())
+             : nullptr;
+}
 
 struct NodeStats {
   std::uint64_t messages_sent = 0;
@@ -112,6 +151,9 @@ class Network {
   const LatencyModel& latency() const { return config_.latency; }
 
   std::uint64_t total_messages() const { return total_messages_; }
+  /// Delivery slots allocated so far, free or in use: the peak number of
+  /// messages in flight at once.
+  std::size_t in_flight_slots() const { return in_flight_.size(); }
   std::uint64_t total_bytes() const { return total_bytes_; }
 
   /// Emit `net.*` trace events (fault drops, duplicates, partition/crash
@@ -137,8 +179,21 @@ class Network {
                                     config_.bandwidth_bps * kSecond);
   }
 
-  void deliver_copy(NodeId from, NodeId to, MessagePtr message,
+  /// A message on the wire, parked until its delivery event fires. Slots
+  /// are recycled through free_slots_, and the delivery event captures only
+  /// [this, slot], which fits std::function's inline buffer: delivering a
+  /// message allocates nothing once the slot pool has grown to the peak
+  /// number of messages in flight.
+  struct InFlight {
+    NodeId from = 0;
+    NodeId to = 0;
+    std::size_t bytes = 0;
+    MessagePtr message;
+  };
+
+  void deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
                     std::size_t bytes, SimDuration extra_delay);
+  void deliver(std::uint32_t slot);
 
   /// nodes_.size()^2 slots, row-major by sender; grown lazily on send so
   /// attach order doesn't matter.
@@ -154,6 +209,8 @@ class Network {
   obs::TraceSink* trace_ = nullptr;
   std::vector<SimNode*> nodes_;
   std::vector<Nic> nics_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
   bool link_stats_enabled_ = false;

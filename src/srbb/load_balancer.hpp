@@ -27,7 +27,7 @@ class LoadBalancerNode : public sim::SimNode {
   void handle_message(sim::NodeId from, const sim::MessagePtr& message) override {
     // Forward client transactions to a random validator; randomness is what
     // makes repeated submissions of a censored transaction land elsewhere.
-    if (const auto* tx = dynamic_cast<const ClientTxMsg*>(message.get())) {
+    if (const auto* tx = sim::msg_cast<ClientTxMsg>(message)) {
       ++forwarded_;
       origins_[tx->tx->hash] = from;
       send(static_cast<sim::NodeId>(rng_.next_below(validator_count_)),
@@ -35,7 +35,7 @@ class LoadBalancerNode : public sim::SimNode {
       return;
     }
     // Relay commit acknowledgements back to the submitting client.
-    if (const auto* ack = dynamic_cast<const CommitAckMsg*>(message.get())) {
+    if (const auto* ack = sim::msg_cast<CommitAckMsg>(message)) {
       const auto it = origins_.find(ack->tx_hash);
       if (it != origins_.end()) {
         send(it->second, message);

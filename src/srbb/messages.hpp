@@ -12,7 +12,7 @@ namespace srbb::node {
 
 /// A client submits a pre-signed transaction to one validator (stage 1 of
 /// the SRBB transaction life cycle, §IV-C).
-struct ClientTxMsg final : sim::Message {
+struct ClientTxMsg final : sim::TaggedMessage<sim::MsgKind::kClientTx> {
   txn::TxPtr tx;
 
   std::size_t size_bytes() const override { return tx->size; }
@@ -22,7 +22,7 @@ struct ClientTxMsg final : sim::Message {
 /// Individual transaction propagation between validators — Alg. 1 line 9,
 /// the step TVPR removes. Only the modern-blockchain/baseline configuration
 /// ever sends these.
-struct GossipTxMsg final : sim::Message {
+struct GossipTxMsg final : sim::TaggedMessage<sim::MsgKind::kGossipTx> {
   txn::TxPtr tx;
 
   std::size_t size_bytes() const override { return tx->size; }
@@ -31,7 +31,7 @@ struct GossipTxMsg final : sim::Message {
 
 /// Commit acknowledgement back to the sending client; the client's observed
 /// commit time defines latency, as in DIABLO.
-struct CommitAckMsg final : sim::Message {
+struct CommitAckMsg final : sim::TaggedMessage<sim::MsgKind::kCommitAck> {
   Hash32 tx_hash;
   bool executed_ok = false;  // false: included but reverted/failed
 
@@ -41,7 +41,7 @@ struct CommitAckMsg final : sim::Message {
 
 /// Catch-up sync (crash recovery): a restarted validator asks a peer for the
 /// decided superblock at `index`.
-struct SyncRequestMsg final : sim::Message {
+struct SyncRequestMsg final : sim::TaggedMessage<sim::MsgKind::kSyncRequest> {
   std::uint64_t index = 0;
 
   std::size_t size_bytes() const override { return 8 + 32; }
@@ -51,7 +51,7 @@ struct SyncRequestMsg final : sim::Message {
 /// Reply to a SyncRequestMsg. `height` is the responder's commit frontier
 /// (next index it will commit); `have` is false when the responder has not
 /// decided `index` yet, which tells the requester it reached the frontier.
-struct SyncResponseMsg final : sim::Message {
+struct SyncResponseMsg final : sim::TaggedMessage<sim::MsgKind::kSyncResponse> {
   std::uint64_t index = 0;
   bool have = false;
   std::uint64_t height = 0;

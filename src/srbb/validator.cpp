@@ -100,41 +100,47 @@ void ValidatorNode::handle_message(sim::NodeId from,
                                    const sim::MessagePtr& message) {
   if (config_.behavior.silent) return;
   if (crashed_) return;  // down: anything still in flight is lost
-  if (const auto* client = dynamic_cast<const ClientTxMsg*>(message.get())) {
-    on_client_tx(from, client->tx);
-    return;
-  }
-  if (const auto* gossip = dynamic_cast<const GossipTxMsg*>(message.get())) {
-    on_gossip_tx(from, gossip->tx);
-    return;
-  }
-  if (const auto* req = dynamic_cast<const SyncRequestMsg*>(message.get())) {
-    on_sync_request(from, *req);
-    return;
-  }
-  if (const auto* resp = dynamic_cast<const SyncResponseMsg*>(message.get())) {
-    sync_->on_response(static_cast<std::uint32_t>(from), *resp);
-    return;
-  }
-  // Consensus traffic: route by index. Instances exist lazily so early
-  // messages for future rounds are absorbed by their (not yet begun)
+  // Consensus traffic is routed by index below. Instances exist lazily so
+  // early messages for future rounds are absorbed by their (not yet begun)
   // instance; PULLs for completed instances are answered by them too.
+  const consensus::PullMsg* pull = nullptr;
+  const consensus::BinMsg* bin = nullptr;
+  const consensus::DecidedMsg* dec = nullptr;
   std::uint64_t index = 0;
-  const auto* pull = dynamic_cast<const consensus::PullMsg*>(message.get());
-  const auto* bin = dynamic_cast<const consensus::BinMsg*>(message.get());
-  const auto* dec = dynamic_cast<const consensus::DecidedMsg*>(message.get());
-  if (pull != nullptr) {
-    index = pull->index;
-  } else if (bin != nullptr) {
-    index = bin->index;
-  } else if (dec != nullptr) {
-    index = dec->index;
-  } else if (const auto* p = dynamic_cast<const consensus::ProposeMsg*>(message.get())) {
-    index = p->index;
-  } else if (const auto* e = dynamic_cast<const consensus::EchoMsg*>(message.get())) {
-    index = e->index;
-  } else {
-    return;  // unknown message type
+  switch (message->kind) {
+    case sim::MsgKind::kClientTx:
+      on_client_tx(from, sim::msg_cast<ClientTxMsg>(message)->tx);
+      return;
+    case sim::MsgKind::kGossipTx:
+      on_gossip_tx(from, sim::msg_cast<GossipTxMsg>(message)->tx);
+      return;
+    case sim::MsgKind::kSyncRequest:
+      on_sync_request(from, *sim::msg_cast<SyncRequestMsg>(message));
+      return;
+    case sim::MsgKind::kSyncResponse:
+      sync_->on_response(static_cast<std::uint32_t>(from),
+                         *sim::msg_cast<SyncResponseMsg>(message));
+      return;
+    case sim::MsgKind::kPull:
+      pull = sim::msg_cast<consensus::PullMsg>(message);
+      index = pull->index;
+      break;
+    case sim::MsgKind::kBin:
+      bin = sim::msg_cast<consensus::BinMsg>(message);
+      index = bin->index;
+      break;
+    case sim::MsgKind::kDecided:
+      dec = sim::msg_cast<consensus::DecidedMsg>(message);
+      index = dec->index;
+      break;
+    case sim::MsgKind::kPropose:
+      index = sim::msg_cast<consensus::ProposeMsg>(message)->index;
+      break;
+    case sim::MsgKind::kEcho:
+      index = sim::msg_cast<consensus::EchoMsg>(message)->index;
+      break;
+    default:
+      return;  // not a validator message
   }
   if (index < next_commit_ && !instances_.contains(index)) {
     // The index is committed and its instance pruned (or never rebuilt after

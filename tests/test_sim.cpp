@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sim/event_loop.hpp"
+#include "sim/fault.hpp"
 #include "sim/gossip.hpp"
 #include "sim/latency.hpp"
 #include "sim/network.hpp"
@@ -224,6 +225,118 @@ TEST(NodeCpu, WorkSerializesFifo) {
   EXPECT_EQ(done[0], millis(10));
   EXPECT_EQ(done[1], millis(15));  // queued behind the first
   EXPECT_EQ(node.stats().cpu_busy, millis(15));
+}
+
+// --- in-flight delivery slots ---
+
+/// Records which message object arrived, in delivery order.
+class RecordingNode : public SimNode {
+ public:
+  using SimNode::SimNode;
+  void handle_message(NodeId, const MessagePtr& message) override {
+    received.push_back(message.get());
+  }
+  std::vector<const Message*> received;
+};
+
+struct SlotFixture {
+  Simulation sim;
+  Network net;
+  std::vector<std::unique_ptr<RecordingNode>> nodes;
+
+  explicit SlotFixture(std::size_t n, SimDuration latency = millis(50))
+      : net(sim, NetworkConfig{LatencyModel::uniform(1, latency), 2.5e9, 7}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      nodes.push_back(
+          std::make_unique<RecordingNode>(sim, static_cast<NodeId>(i), 0));
+      net.attach(nodes.back().get());
+    }
+  }
+};
+
+TEST(NetworkSlots, NormalDeliveryReleasesTheMessage) {
+  SlotFixture f{4};
+  const auto ping = std::make_shared<Ping>(100);
+  for (NodeId to = 1; to < 4; ++to) f.nodes[0]->send(to, ping);
+  EXPECT_EQ(ping.use_count(), 4);  // one reference per message in flight
+  f.sim.run_until_idle();
+  for (NodeId to = 1; to < 4; ++to) {
+    ASSERT_EQ(f.nodes[to]->received.size(), 1u);
+    EXPECT_EQ(f.nodes[to]->received[0], ping.get());
+  }
+  EXPECT_EQ(ping.use_count(), 1);
+}
+
+TEST(NetworkSlots, DuplicateCopiesReleaseTheMessage) {
+  SlotFixture f{2};
+  FaultPlan plan;
+  plan.default_link.duplicate = 1.0;
+  FaultInjector injector{plan};
+  f.net.set_fault_injector(&injector);
+  const auto ping = std::make_shared<Ping>(100);
+  f.nodes[0]->send(1, ping);
+  f.sim.run_until_idle();
+  EXPECT_EQ(f.nodes[1]->received.size(), 2u);
+  EXPECT_EQ(f.nodes[0]->stats().messages_duplicated, 1u);
+  EXPECT_EQ(ping.use_count(), 1);
+}
+
+TEST(NetworkSlots, CrashInFlightDropReleasesTheMessage) {
+  SlotFixture f{2};
+  FaultPlan plan;
+  // Up when the message is sent at t=0, down when it lands at ~50 ms.
+  plan.crashes.push_back(CrashSpec{1, millis(10), 0});
+  FaultInjector injector{plan};
+  f.net.set_fault_injector(&injector);
+  const auto ping = std::make_shared<Ping>(100);
+  f.nodes[0]->send(1, ping);
+  f.sim.run_until_idle();
+  EXPECT_TRUE(f.nodes[1]->received.empty());
+  EXPECT_EQ(f.nodes[1]->stats().messages_received, 0u);
+  EXPECT_EQ(ping.use_count(), 1);
+  // The dropped delivery's slot went back to the pool.
+  f.net.set_fault_injector(nullptr);
+  f.nodes[0]->send(1, ping);
+  f.sim.run_until_idle();
+  EXPECT_EQ(f.net.in_flight_slots(), 1u);
+  EXPECT_EQ(ping.use_count(), 1);
+}
+
+TEST(NetworkSlots, SecondBurstReusesSlots) {
+  SlotFixture f{5};
+  const auto ping = std::make_shared<Ping>(100);
+  auto burst = [&] {
+    for (NodeId from = 0; from < 5; ++from) {
+      for (NodeId to = 0; to < 5; ++to) {
+        if (to != from) f.nodes[from]->send(to, ping);
+      }
+    }
+    f.sim.run_until_idle();
+  };
+  burst();
+  const std::size_t slots = f.net.in_flight_slots();
+  EXPECT_EQ(slots, 20u);  // every message of the burst was in flight at once
+  burst();
+  EXPECT_EQ(f.net.in_flight_slots(), slots);
+  EXPECT_EQ(f.net.total_messages(), 40u);
+  EXPECT_EQ(ping.use_count(), 1);
+}
+
+TEST(NetworkSlots, SameTimeDeliveriesFireInSendOrder) {
+  // Zero latency and zero-byte messages: every delivery lands at t=0, so
+  // only the event loop's insertion order separates them.
+  SlotFixture f{3, 0};
+  std::vector<MessagePtr> sent;
+  for (std::size_t i = 0; i < 6; ++i) {
+    sent.push_back(std::make_shared<Ping>(0));
+    f.nodes[i % 2]->send(2, sent.back());
+  }
+  f.sim.run_until_idle();
+  ASSERT_EQ(f.nodes[2]->received.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(f.nodes[2]->received[i], sent[i].get()) << i;
+  }
+  EXPECT_EQ(f.sim.now(), 0);
 }
 
 // --- gossip overlay ---

@@ -29,6 +29,12 @@ that have historically caused replica divergence in production chains:
                    stale cross-contract facts. The sanctioned path is the
                    state-keyed InterprocCache wrapper, which revalidates
                    every resolved call edge against the queried state.
+  message-dynamic-cast
+                   dynamic_cast on a sim::Message (a *Msg/*Message target
+                   type, or a message/msg operand): receivers dispatch on
+                   Message::kind and convert with sim::msg_cast<T>, a byte
+                   compare, where a dynamic_cast chain costs a type_info walk
+                   per hop on every delivered message.
 
 Audited sites are suppressed through tools/lint_allowlist.txt; every entry
 carries a justification and MUST still match a real finding (stale entries
@@ -344,6 +350,32 @@ def check_interproc_bypass(relpath: str, lines: list[str]) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: message-dynamic-cast
+# ---------------------------------------------------------------------------
+
+# Every shipped wire message is a final TaggedMessage, so sim::msg_cast<T>
+# (one compare of Message::kind) is exact. A new message type dispatched
+# with dynamic_cast would bring back the per-message RTTI walk that the
+# simulator's hot path no longer pays. Matched by target type name
+# (`*Msg`, `*Message`) or by operand name (`message`, `msg`, ...).
+MESSAGE_DYNAMIC_CAST = re.compile(
+    r"dynamic_cast\s*<\s*(?:const\s+)?[\w:]*(?:Msg|Message)\s*\*\s*>"
+    r"|dynamic_cast\s*<[^<>]*>\s*\(\s*\w*(?:message|msg)\w*\s*[.)]")
+
+
+def check_message_dynamic_cast(relpath: str, lines: list[str]) -> list[tuple]:
+    findings = []
+    for lineno, line in enumerate(lines, 1):
+        if MESSAGE_DYNAMIC_CAST.search(line):
+            findings.append(
+                ("message-dynamic-cast", relpath, lineno, line.strip(),
+                 "dynamic_cast on a sim::Message: switch on message->kind and "
+                 "convert with sim::msg_cast<T> (give a new message type its "
+                 "own MsgKind via sim::TaggedMessage)"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Self-test: one positive and one negative fixture per rule, so a regex edit
 # that silently disables a rule fails the `srbb_lint_selftest` ctest.
 # ---------------------------------------------------------------------------
@@ -401,6 +433,21 @@ SELFTEST_FIXTURES = [
     # Outside src/txn/ the analyzer layer composes from raw summaries.
     ("interproc-bypass", "src/evm/analysis/interproc.cpp",
      "auto a = analyses.get(code_keccak, code);\n", False),
+    ("message-dynamic-cast", "src/srbb/x.cpp",
+     "const auto* b = dynamic_cast<const consensus::BinMsg*>(message.get());\n",
+     True),
+    ("message-dynamic-cast", "src/srbb/x.cpp",
+     "auto* m = dynamic_cast<const sim::Message*>(base);\n", True),
+    ("message-dynamic-cast", "src/chains/x.cpp",
+     "if (auto* t = dynamic_cast<const Tx*>(msg.get())) use(t);\n", True),
+    ("message-dynamic-cast", "src/srbb/x.cpp",
+     "const auto* b = sim::msg_cast<consensus::BinMsg>(message);\n", False),
+    # Casts on non-message hierarchies stay allowed.
+    ("message-dynamic-cast", "src/state/x.cpp",
+     "auto* log = dynamic_cast<LogBackend*>(backend.get());\n", False),
+    ("message-dynamic-cast", "src/srbb/x.cpp",
+     "// dynamic_cast<const BinMsg*>(message.get()) was the old path\n",
+     False),
 ]
 
 
@@ -416,6 +463,7 @@ def run_file_checks(relpath: str, text: str) -> list[tuple]:
     findings += check_float_in_consensus(relpath, lines)
     findings += check_analysis_cache_mutation(relpath, lines)
     findings += check_interproc_bypass(relpath, lines)
+    findings += check_message_dynamic_cast(relpath, lines)
     return findings
 
 
@@ -523,6 +571,7 @@ def main() -> int:
         findings += check_float_in_consensus(relpath, lines)
         findings += check_analysis_cache_mutation(relpath, lines)
         findings += check_interproc_bypass(relpath, lines)
+        findings += check_message_dynamic_cast(relpath, lines)
 
     allowlist = ([] if args.no_allowlist
                  else load_allowlist(args.root / "tools/lint_allowlist.txt"))
