@@ -30,27 +30,16 @@ TxOutcome outcome_from(const txn::TxPtr& tx,
 ExecutionOracle::ExecutionOracle(const GenesisSpec& genesis,
                                  evm::BlockContext block_template,
                                  const crypto::SignatureScheme& scheme)
-    : ExecutionOracle(genesis, block_template, scheme, state::StateConfig{}) {}
-
-ExecutionOracle::ExecutionOracle(const GenesisSpec& genesis,
-                                 evm::BlockContext block_template,
-                                 const crypto::SignatureScheme& scheme,
-                                 state::StateConfig state_config)
-    : genesis_(genesis),
-      state_config_(state_config),
-      db_(state_config),
-      block_template_(block_template) {
+    : genesis_(genesis), block_template_(block_template) {
   genesis_.apply(db_);
   exec_config_.verify_signature = true;
   exec_config_.scheme = &scheme;
 }
 
 void ExecutionOracle::reset() {
-  db_ = state::StateDB{state_config_};
+  db_ = state::StateDB{};
   genesis_.apply(db_);
   results_.clear();
-  has_last_root_ = false;
-  root_stats_ = RootStats{};
 }
 
 const IndexExecResult& ExecutionOracle::execute(
@@ -108,21 +97,7 @@ const IndexExecResult& ExecutionOracle::execute(
     }
   }
   db_.commit();
-  // Deferred roots (state/config.hpp): recompute only on interval
-  // boundaries, republish the last root in between. Index 0 (and any index
-  // before the first computed root) always computes.
-  const bool recompute = !state_config_.defer_root || !has_last_root_ ||
-                         state_config_.root_interval == 0 ||
-                         index % state_config_.root_interval == 0;
-  if (recompute) {
-    result.state_root = db_.state_root();
-    last_root_ = result.state_root;
-    has_last_root_ = true;
-    ++root_stats_.computed;
-  } else {
-    result.state_root = last_root_;
-    ++root_stats_.deferred;
-  }
+  result.state_root = db_.state_root();
   SRBB_TRACE(ctx.trace, ctx.at, 0, ctx.node, "commit", "superblock.exec",
              "index", index, "valid", result.total_valid);
   return results_.emplace(index, std::move(result)).first->second;

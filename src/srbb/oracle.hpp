@@ -54,12 +54,6 @@ class ExecutionOracle {
  public:
   ExecutionOracle(const GenesisSpec& genesis, evm::BlockContext block_template,
                   const crypto::SignatureScheme& scheme);
-  /// Same, with state-stack knobs: commitment cache bounds and deferred root
-  /// computation (state/config.hpp). The default StateConfig reproduces the
-  /// three-argument constructor exactly.
-  ExecutionOracle(const GenesisSpec& genesis, evm::BlockContext block_template,
-                  const crypto::SignatureScheme& scheme,
-                  state::StateConfig state_config);
 
   /// Trace context for one execute() call. Events are emitted only on the
   /// first (non-memoized) execution of an index: a shared oracle's memoized
@@ -72,8 +66,8 @@ class ExecutionOracle {
   };
 
   /// Execute the superblock for `index` (idempotent: repeated calls return
-  /// the memoized result). Indices must be executed in increasing order on
-  /// first call.
+  /// the memoized result) and publish db().state_root() as its root.
+  /// Indices must be executed in increasing order on first call.
   const IndexExecResult& execute(std::uint64_t index,
                                  const std::vector<txn::BlockPtr>& blocks);
   const IndexExecResult& execute(std::uint64_t index,
@@ -95,28 +89,13 @@ class ExecutionOracle {
   txn::ExecutionConfig& exec_config() { return exec_config_; }
   const txn::ExecutionConfig& exec_config() const { return exec_config_; }
 
-  /// Deferred-root accounting (state/config.hpp): with defer_root on, the
-  /// oracle recomputes the state root only every root_interval indices and
-  /// republishes the last computed root in between, keeping the O(n·log n)
-  /// digest off most commit paths. Pure function of (state, index, config),
-  /// so replicas sharing a config still converge on identical result roots.
-  struct RootStats {
-    std::uint64_t computed = 0;
-    std::uint64_t deferred = 0;
-  };
-  const RootStats& root_stats() const { return root_stats_; }
-
  private:
   GenesisSpec genesis_;  // kept so reset() can rebuild the world state
-  state::StateConfig state_config_;
   state::StateDB db_;
   evm::BlockContext block_template_;
   txn::ExecutionConfig exec_config_;
   std::unique_ptr<txn::ParallelExecutor> parallel_;
   std::map<std::uint64_t, IndexExecResult> results_;
-  Hash32 last_root_;
-  bool has_last_root_ = false;
-  RootStats root_stats_;
 };
 
 }  // namespace srbb::node

@@ -64,8 +64,6 @@ void ValidatorNode::register_obs() {
     ctr_spec_runs_ = &config_.metrics->counter("exec.speculative_runs");
     ctr_spec_aborts_ = &config_.metrics->counter("exec.aborts");
     ctr_fallback_txs_ = &config_.metrics->counter("exec.fallback_txs");
-    g_roots_computed_ = &config_.metrics->gauge("state.roots_computed");
-    g_roots_deferred_ = &config_.metrics->gauge("state.roots_deferred");
     g_state_hits_ = &config_.metrics->gauge("state.snapshot_hits");
     g_state_faults_ = &config_.metrics->gauge("state.snapshot_faults");
     g_state_evictions_ = &config_.metrics->gauge("state.snapshot_evictions");
@@ -74,10 +72,7 @@ void ValidatorNode::register_obs() {
 }
 
 void ValidatorNode::publish_state_obs() {
-  if (g_roots_computed_ == nullptr) return;
-  const ExecutionOracle::RootStats& roots = oracle_->root_stats();
-  g_roots_computed_->set(static_cast<std::int64_t>(roots.computed));
-  g_roots_deferred_->set(static_cast<std::int64_t>(roots.deferred));
+  if (g_state_hits_ == nullptr) return;
   const state::StateDB::BackingStats backing = oracle_->db().backing_stats();
   g_state_hits_->set(static_cast<std::int64_t>(backing.hits));
   g_state_faults_->set(static_cast<std::int64_t>(backing.faults));

@@ -290,8 +290,6 @@ class ValidatorNode : public sim::SimNode {
   // State-stack levels (DESIGN.md §14): cumulative totals read back from the
   // oracle's StateDB after each commit, published as gauges so a shared
   // oracle is sampled, not double-counted.
-  obs::Gauge* g_roots_computed_ = nullptr;
-  obs::Gauge* g_roots_deferred_ = nullptr;
   obs::Gauge* g_state_hits_ = nullptr;
   obs::Gauge* g_state_faults_ = nullptr;
   obs::Gauge* g_state_evictions_ = nullptr;

@@ -4,7 +4,6 @@
 
 #include "common/invariant.hpp"
 #include "crypto/keccak.hpp"
-#include "crypto/sha256.hpp"
 
 namespace srbb::state {
 
@@ -88,10 +87,6 @@ const Bytes& OverlayState::code(const Address& addr) const {
   const Bytes& value = base_.code(addr);
   code_reads_.try_emplace(addr, value);
   return value;
-}
-
-Hash32 OverlayState::code_hash(const Address& addr) const {
-  return crypto::Sha256::hash(code(addr));
 }
 
 Hash32 OverlayState::code_keccak(const Address& addr) const {

@@ -83,7 +83,6 @@ class OverlayState final : public StateView {
   U256 balance(const Address& addr) const override;
   std::uint64_t nonce(const Address& addr) const override;
   const Bytes& code(const Address& addr) const override;
-  Hash32 code_hash(const Address& addr) const override;
   Hash32 code_keccak(const Address& addr) const override;
   U256 storage(const Address& addr, const Hash32& key) const override;
   /// Forwarded to the base: faulting the record in is a cache effect, not a

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <mutex>
 
-#include "codec/rlp.hpp"
 #include "common/invariant.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/sha256.hpp"
-#include "state/trie.hpp"
 
 namespace srbb::state {
 
@@ -24,15 +22,10 @@ const Hash32& empty_code_keccak() {
   return hash;
 }
 
-Hash32 StateView::code_keccak(const Address& addr) const {
-  const Bytes& c = code(addr);
-  return c.empty() ? empty_code_keccak() : crypto::Keccak256::hash(c);
-}
-
 StateDB::StateDB(StateConfig config, std::shared_ptr<StorageBackend> backend)
-    : config_(config), backend_(std::move(backend)) {
+    : backend_(std::move(backend)) {
   SRBB_CHECK(backend_ != nullptr);
-  snapshot_.set_capacity(config_.snapshot_capacity);
+  snapshot_.set_capacity(config.snapshot_capacity);
   live_count_ = backend_->size();  // reopen: backend records are the state
 }
 
@@ -133,10 +126,6 @@ const Bytes& StateDB::code(const Address& addr) const {
   return acc ? acc->code : kEmptyCode;
 }
 
-Hash32 StateDB::code_hash(const Address& addr) const {
-  return crypto::Sha256::hash(code(addr));
-}
-
 Hash32 StateDB::code_keccak(const Address& addr) const {
   const Account* acc = find(addr);
   if (acc == nullptr || acc->code.empty()) return empty_code_keccak();
@@ -156,21 +145,8 @@ void StateDB::prefetch(const Address& addr) const {
 
 // --- write path -------------------------------------------------------------
 
-void StateDB::mark_mpt_dirty(const Address& addr) const {
-  if (mpt_.synced) mpt_.dirty[addr];
-}
-
-void StateDB::mark_mpt_slot(const Address& addr, const Hash32& key) const {
-  if (mpt_.synced) mpt_.dirty[addr].slots.insert(key);
-}
-
-void StateDB::mark_mpt_full(const Address& addr) const {
-  if (mpt_.synced) mpt_.dirty[addr].full_storage = true;
-}
-
 Account& StateDB::mutable_account(const Address& addr) {
   root_dirty_ = true;  // every write path funnels through here
-  mark_mpt_dirty(addr);
   if (backend_ == nullptr) {
     auto it = accounts_.find(addr);
     if (it == accounts_.end()) {
@@ -239,7 +215,6 @@ void StateDB::set_code(const Address& addr, Bytes code) {
 void StateDB::set_storage(const Address& addr, const Hash32& key,
                           const U256& value) {
   Account& acc = mutable_account(addr);
-  mark_mpt_slot(addr, key);
   const auto it = acc.storage.find(key);
   JournalEntry entry{.op = Op::kStorageChange, .addr = addr, .key = key};
   entry.prev_existed = it != acc.storage.end();
@@ -256,9 +231,6 @@ void StateDB::delete_account(const Address& addr) {
   const Account* acc = find(addr);  // faults in under a backend
   if (acc == nullptr) return;
   root_dirty_ = true;
-  // The account's storage identity resets: a later recreation must not
-  // inherit the old materialized storage trie.
-  mark_mpt_full(addr);
   JournalEntry entry{.op = Op::kDeleteAccount, .addr = addr};
   entry.prev_account = *acc;
   if (backend_ == nullptr) {
@@ -296,7 +268,6 @@ void StateDB::revert_to(Snapshot snapshot) {
     };
     switch (entry.op) {
       case Op::kCreateAccount:
-        mark_mpt_dirty(entry.addr);
         accounts_.erase(entry.addr);
         if (backend_ != nullptr) {
           snapshot_.note_erased(entry.addr);
@@ -311,15 +282,12 @@ void StateDB::revert_to(Snapshot snapshot) {
         }
         break;
       case Op::kBalanceChange:
-        mark_mpt_dirty(entry.addr);
         target().balance = entry.prev_value;
         break;
       case Op::kNonceChange:
-        mark_mpt_dirty(entry.addr);
         target().nonce = entry.prev_nonce;
         break;
       case Op::kCodeChange: {
-        mark_mpt_dirty(entry.addr);
         Account& acc = target();
         acc.code = std::move(entry.prev_code);
         // Reverted deployments are rare; recomputing beats journaling the
@@ -328,7 +296,6 @@ void StateDB::revert_to(Snapshot snapshot) {
         break;
       }
       case Op::kStorageChange: {
-        mark_mpt_slot(entry.addr, entry.key);
         auto& storage = target().storage;
         if (entry.prev_existed) {
           storage[entry.key] = entry.prev_value;
@@ -340,7 +307,6 @@ void StateDB::revert_to(Snapshot snapshot) {
       case Op::kDeleteAccount:
         // The deletion undo recreates the account, so it must be absent.
         SRBB_PARANOID(!accounts_.contains(entry.addr));
-        mark_mpt_full(entry.addr);
         accounts_[entry.addr] = std::move(entry.prev_account);
         if (backend_ != nullptr) {
           snapshot_.note_resident(entry.addr);
@@ -394,7 +360,7 @@ void StateDB::commit() {
   journal_.clear();
 }
 
-// --- commitments ------------------------------------------------------------
+// --- commitment -------------------------------------------------------------
 
 Hash32 StateDB::state_root() const {
   if (!root_dirty_) return root_cache_;
@@ -411,7 +377,8 @@ Hash32 StateDB::state_root() const {
     put_be64(nonce_be, acc.nonce);
     root.update(BytesView{nonce_be, 8});
     root.update(acc.balance.be_bytes());
-    root.update(crypto::Sha256::hash(acc.code).view());
+    root.update(acc.code.empty() ? empty_code_keccak().view()
+                                 : acc.code_keccak.view());
 
     std::vector<Hash32> keys;
     keys.reserve(acc.storage.size());
@@ -425,46 +392,6 @@ Hash32 StateDB::state_root() const {
   root_cache_ = root.finish();
   root_dirty_ = false;
   return root_cache_;
-}
-
-Hash32 StateDB::state_root_mpt() const {
-  if (!mpt_.synced) {
-    // First call (or first after a copy): build the whole commitment once;
-    // later calls only re-sync accounts the write path marked dirty.
-    mpt_.trie = IncrementalStateTrie{};
-    mpt_.trie.configure(config_.storage_trie_cache,
-                        config_.trie_node_cache_limit);
-    Account scratch;
-    for (const Address& addr : live_addresses()) {
-      mpt_.trie.update(addr, resolve(addr, scratch),
-                       DirtyInfo{.full_storage = true});
-    }
-    mpt_.synced = true;
-    mpt_.dirty.clear();
-    return mpt_.trie.root_hash();
-  }
-
-  std::vector<Address> addresses;
-  addresses.reserve(mpt_.dirty.size());
-  for (const auto& [addr, info] : mpt_.dirty) addresses.push_back(addr);
-  std::sort(addresses.begin(), addresses.end());
-  Account scratch;
-  for (const Address& addr : addresses) {
-    mpt_.trie.update(addr, resolve(addr, scratch), mpt_.dirty.at(addr));
-  }
-  mpt_.dirty.clear();
-  return mpt_.trie.root_hash();
-}
-
-Hash32 StateDB::state_root_mpt_full() const {
-  MerklePatriciaTrie trie;
-  Account scratch;
-  for (const Address& addr : live_addresses()) {
-    const Account* acc = resolve(addr, scratch);
-    SRBB_CHECK(acc != nullptr);
-    trie.put(addr.view(), encode_account_leaf(*acc, storage_trie_root(*acc)));
-  }
-  return trie.root_hash();
 }
 
 }  // namespace srbb::state

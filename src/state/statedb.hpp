@@ -34,7 +34,6 @@
 #include "state/backend.hpp"
 #include "state/config.hpp"
 #include "state/snapshot.hpp"
-#include "state/state_trie.hpp"
 
 namespace srbb::state {
 
@@ -55,10 +54,10 @@ class StateView {
   virtual U256 balance(const Address& addr) const = 0;
   virtual std::uint64_t nonce(const Address& addr) const = 0;
   virtual const Bytes& code(const Address& addr) const = 0;
-  virtual Hash32 code_hash(const Address& addr) const = 0;
-  /// keccak256 of code(addr) — the key the EVM analysis cache is addressed
-  /// by. Implementations memoize where they can; the default recomputes.
-  virtual Hash32 code_keccak(const Address& addr) const;
+  /// keccak256 of code(addr) (empty_code_keccak() when there is no code) —
+  /// the state root's code commitment and the key the EVM analysis cache is
+  /// addressed by.
+  virtual Hash32 code_keccak(const Address& addr) const = 0;
   virtual U256 storage(const Address& addr, const Hash32& key) const = 0;
   /// Hint that the address is about to be read: backed states pull the
   /// record into the resident cache so the upcoming reads are flat-map
@@ -90,17 +89,14 @@ class StateDB final : public StateView {
 
   /// Default mode: fully resident, no backend — the original behaviour.
   StateDB() = default;
-  /// Fully resident but with the commitment knobs from `config`
-  /// (trie_node_cache_limit, storage_trie_cache) applied.
-  explicit StateDB(StateConfig config) : config_(config) {}
   /// Backend mode: `backend` holds the durable records; the flat map is a
   /// resident cache bounded by config.snapshot_capacity. Existing backend
   /// records become the initial world state (reopen).
   StateDB(StateConfig config, std::shared_ptr<StorageBackend> backend);
 
   // Copyable for test/bench fixtures. A copy shares the backend pointer but
-  // starts with fresh lock/commitment caches (they rebuild on demand); do
-  // not commit through two copies of a backend-mode state.
+  // starts with a fresh lock; do not commit through two copies of a
+  // backend-mode state.
   StateDB(const StateDB&) = default;
   StateDB& operator=(const StateDB&) = default;
   StateDB(StateDB&&) = default;
@@ -111,7 +107,6 @@ class StateDB final : public StateView {
   U256 balance(const Address& addr) const override;
   std::uint64_t nonce(const Address& addr) const override;
   const Bytes& code(const Address& addr) const override;
-  Hash32 code_hash(const Address& addr) const override;
   /// O(1): returns the hash memoized by set_code (empty-code hash for
   /// code-less accounts). Pure read — safe under concurrent readers.
   Hash32 code_keccak(const Address& addr) const override;
@@ -147,27 +142,16 @@ class StateDB final : public StateView {
   /// snapshot_capacity are evicted FIFO.
   void commit();
 
-  /// Deterministic digest of the entire world state. Accounts are hashed in
-  /// address order, storage in key order, so two replicas that executed the
-  /// same blocks produce identical roots. O(n log n) per recompute; the
+  /// Deterministic digest of the entire world state: SHA-256 over, in
+  /// address order, each account's address, nonce, balance and code_keccak,
+  /// then its non-zero storage slots in key order. Two replicas that
+  /// executed the same blocks produce identical roots; this is the only
+  /// state commitment (docs/STATE.md). O(n log n) per recompute; the
   /// result is memoized and reused until the next journaled write, so
   /// back-to-back calls (oracle indexing, convergence tests) are O(1).
   /// Identical across modes for the same logical state. Not safe to call
   /// concurrently with writes or with itself.
   Hash32 state_root() const;
-
-  /// Ethereum-shaped commitment: a Merkle Patricia Trie over accounts, each
-  /// leaf rlp([nonce, balance, storage_trie_root, code_hash]) with a nested
-  /// storage trie per contract. Binding like state_root() but additionally
-  /// supports trie inclusion proofs. Incremental: the first call builds the
-  /// trie, subsequent calls re-sync only accounts dirtied in between
-  /// (state_trie.hpp), so a root after k mutations costs O(k·depth) instead
-  /// of O(n). Not safe to call concurrently with reads or writes.
-  Hash32 state_root_mpt() const;
-
-  /// From-scratch MPT rebuild — the reference the incremental path is
-  /// differentially tested against. Always equals state_root_mpt().
-  Hash32 state_root_mpt_full() const;
 
   // --- introspection (obs wiring, tests) ---
   struct BackingStats {
@@ -179,8 +163,6 @@ class StateDB final : public StateView {
   BackingStats backing_stats() const {
     return {hits_.get(), misses_.get(), faults_.get(), evictions_};
   }
-  const IncrementalStateTrie& state_trie() const { return mpt_.trie; }
-  const StateConfig& config() const { return config_; }
   StorageBackend* backend() const { return backend_.get(); }
 
  private:
@@ -236,25 +218,6 @@ class StateDB final : public StateView {
     std::uint64_t get() const { return v.load(std::memory_order_relaxed); }
   };
 
-  /// Incremental-commitment state. Copies (and copy-assignments) reset to
-  /// unsynced — the commitment is a cache over the flat state and rebuilds
-  /// on the next state_root_mpt() call.
-  struct MptState {
-    IncrementalStateTrie trie;
-    bool synced = false;
-    std::unordered_map<Address, DirtyInfo, AddressHasher> dirty;
-    MptState() = default;
-    MptState(const MptState&) {}
-    MptState& operator=(const MptState&) {
-      trie = IncrementalStateTrie{};
-      synced = false;
-      dirty.clear();
-      return *this;
-    }
-    MptState(MptState&&) = default;
-    MptState& operator=(MptState&&) = default;
-  };
-
   Account& mutable_account(const Address& addr);
   const Account* find(const Address& addr) const;
   /// Backend-mode read: resident map under a shared lock, fault-in from the
@@ -266,11 +229,7 @@ class StateDB final : public StateView {
   const Account* resolve(const Address& addr, Account& scratch) const;
   /// Every live address, ascending (resident ∪ backend − pending deletes).
   std::vector<Address> live_addresses() const;
-  void mark_mpt_dirty(const Address& addr) const;
-  void mark_mpt_slot(const Address& addr, const Hash32& key) const;
-  void mark_mpt_full(const Address& addr) const;
 
-  StateConfig config_;
   std::shared_ptr<StorageBackend> backend_;
   // accounts_ is mutable because backend-mode fault-in populates it from
   // const reads (under fault_mutex_). Default mode never mutates it const.
@@ -285,7 +244,6 @@ class StateDB final : public StateView {
   // state_root() memoization: any journaled write (or revert) invalidates.
   mutable Hash32 root_cache_;
   mutable bool root_dirty_ = true;
-  mutable MptState mpt_;
   mutable RelaxedCounter hits_;
   mutable RelaxedCounter misses_;
   mutable RelaxedCounter faults_;

@@ -70,6 +70,11 @@ struct BinOpCase {
   std::uint64_t expected;  // op(b, a) in EVM order: top is first operand
 };
 
+// Name each case by its opcode. The default printer dumps the struct's raw
+// bytes, `op` pointer included, so the case names would change with every
+// load address.
+void PrintTo(const BinOpCase& c, std::ostream* os) { *os << c.op; }
+
 class EvmBinOp : public ::testing::TestWithParam<BinOpCase> {};
 
 TEST_P(EvmBinOp, ComputesExpected) {

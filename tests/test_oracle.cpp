@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "evm/contracts.hpp"
+#include "oracle_state_root.hpp"
 
 namespace srbb::node {
 namespace {
@@ -141,7 +142,6 @@ TEST(ParallelOracle, MatchesSequentialExecution) {
     EXPECT_EQ(rs.total_invalid, rp.total_invalid);
   }
   EXPECT_EQ(sequential.db().state_root(), parallel.db().state_root());
-  EXPECT_EQ(sequential.db().state_root_mpt(), parallel.db().state_root_mpt());
 }
 
 TEST(Oracle, FeesComputedPerOutcome) {
@@ -160,6 +160,68 @@ TEST(Oracle, FeesComputedPerOutcome) {
   EXPECT_TRUE(outcome.valid);
   EXPECT_EQ(outcome.gas_used, 21'000u);
   EXPECT_EQ(outcome.fee, U256{3 * 21'000});
+}
+
+// Every published root equals the flat digest recomputed from public reads
+// (oracle_state_root.hpp), across transfers, contract storage writes, a
+// reverting call and a reset() in the middle of the run.
+TEST(Oracle, PublishedRootsMatchReferenceDigest) {
+  const Address counter = scheme().make_identity(5000).address();
+  GenesisSpec genesis = rich_genesis();
+  genesis.contracts.push_back(
+      {counter, evm::counter_contract().runtime_code, {}});
+  const auto increment = [&](std::uint64_t sender, std::uint64_t nonce,
+                             std::uint64_t gas_limit) {
+    txn::TxParams params;
+    params.kind = txn::TxKind::kInvoke;
+    params.nonce = nonce;
+    params.gas_limit = gas_limit;
+    params.to = counter;
+    params.data = evm::encode_call("increment()", {});
+    return txn::make_tx_ptr(
+        txn::make_signed(params, scheme().make_identity(sender), scheme()));
+  };
+
+  std::vector<Address> addresses = {counter,
+                                    scheme().make_identity(4242).address()};
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    addresses.push_back(scheme().make_identity(i).address());
+  }
+  const std::vector<Hash32> slots = {Hash32{}};  // the counter's slot 0
+  const auto reference = [&](const ExecutionOracle& oracle) {
+    return state::oracle::reference_state_root(oracle.db(), addresses, slots);
+  };
+
+  ExecutionOracle oracle{genesis, {}, scheme()};
+  EXPECT_EQ(oracle.db().state_root(), reference(oracle));
+  std::vector<Hash32> first_run;
+  for (int run = 0; run < 2; ++run) {
+    if (run == 1) {
+      oracle.reset();
+      EXPECT_EQ(oracle.db().state_root(), reference(oracle));
+    }
+    for (std::uint64_t index = 0; index < 4; ++index) {
+      // Sender 5's call runs out of gas: its fee is charged, but its
+      // storage write is reverted.
+      const std::vector<txn::BlockPtr> blocks = {
+          block_of(index, 0,
+                   {transfer(index % 3, index / 3),
+                    increment(4, index, 200'000)}),
+          block_of(index, 1,
+                   {increment(5, index, 21'800), transfer(6, index, 0)})};
+      const IndexExecResult& result = oracle.execute(index, blocks);
+      EXPECT_EQ(result.total_valid, 4u);
+      EXPECT_FALSE(result.blocks[1].outcomes[0].executed_ok);
+      const Hash32 root = result.state_root;
+      EXPECT_EQ(root, reference(oracle)) << "run " << run << " index " << index;
+      if (run == 0) {
+        first_run.push_back(root);
+      } else {
+        EXPECT_EQ(root, first_run[index]) << "index " << index;
+      }
+    }
+  }
+  EXPECT_EQ(oracle.db().storage(counter, Hash32{}), U256{4});
 }
 
 }  // namespace

@@ -149,7 +149,6 @@ ParallelExecStats run_differential(const std::vector<Transaction>& txs,
 
   expect_identical(seq, par);
   EXPECT_EQ(seq_db.state_root(), par_db.state_root());
-  EXPECT_EQ(seq_db.state_root_mpt(), par_db.state_root_mpt());
   EXPECT_EQ(seq_db.account_count(), par_db.account_count());
   EXPECT_EQ(stats.txs, txs.size());
   return stats;

@@ -2,10 +2,11 @@
 //
 // The seed-configuration StateDB (fully resident, no backend) is the
 // reference. Every other configuration — memory backend, tiny snapshot
-// capacity, log-structured backend on disk — must produce bit-identical
-// state_root() and state_root_mpt() at every commit point of a randomized
-// journaled workload, across backend reopen, torn-log recovery, compaction,
-// and self-destruct/recreate cycles.
+// capacity, log-structured backend on disk — must produce a bit-identical
+// state_root() at every commit point of a randomized journaled workload,
+// across backend reopen, torn-log recovery, compaction, and
+// self-destruct/recreate cycles. Every configuration's root must also equal
+// the digest recomputed from public reads (oracle_state_root.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +19,7 @@
 #include "codec/rlp.hpp"
 #include "common/rng.hpp"
 #include "crypto/keccak.hpp"
-#include "srbb/oracle.hpp"
+#include "oracle_state_root.hpp"
 #include "state/log_backend.hpp"
 #include "state/overlay.hpp"
 #include "state/statedb.hpp"
@@ -150,15 +151,30 @@ TEST(Crc32, KnownVector) {
 
 // --- randomized differential workload ---------------------------------------
 
+constexpr std::uint64_t kFleetAccounts = 24;
+constexpr std::uint64_t kFleetSlots = 8;
+
+/// The reference digest over every address and slot the fleet can write.
+Hash32 fleet_reference_root(const StateView& db) {
+  std::vector<Address> addresses;
+  for (std::uint64_t i = 0; i < kFleetAccounts; ++i) {
+    addresses.push_back(addr_of(i));
+  }
+  std::vector<Hash32> slots;
+  for (std::uint64_t i = 0; i < kFleetSlots; ++i) slots.push_back(slot_of(i));
+  return oracle::reference_state_root(db, addresses, slots);
+}
+
 /// Applies one random journaled op to every db identically. Ops cover
 /// create/balance/nonce/code/storage writes, SELFDESTRUCT, recreate-after-
-/// destruct, snapshot/revert, and commit (where all roots are compared).
+/// destruct, snapshot/revert, and commit. Roots are checked at every commit
+/// and on both sides of every revert, so a stale memo cannot hide.
 class StateFleet {
  public:
   explicit StateFleet(std::vector<StateDB*> dbs) : dbs_(std::move(dbs)) {}
 
   void step(Rng& rng) {
-    const Address addr = addr_of(rng.next_below(24));
+    const Address addr = addr_of(rng.next_below(kFleetAccounts));
     switch (rng.next_below(12)) {
       case 0:
       case 1: {
@@ -171,7 +187,7 @@ class StateFleet {
         break;
       case 3:
       case 4: {
-        const Hash32 slot = slot_of(rng.next_below(8));
+        const Hash32 slot = slot_of(rng.next_below(kFleetSlots));
         // Zero values exercise EVM slot-clearing.
         const U256 value{rng.next_below(4) == 0 ? 0 : 1 + rng.next_u64() % 1000};
         for_each([&](StateDB& db) { db.set_storage(addr, slot, value); });
@@ -189,7 +205,7 @@ class StateFleet {
       case 7: {
         // Self-destruct then immediately recreate with fresh storage — the
         // old storage must not leak into the recreated account.
-        const Hash32 slot = slot_of(rng.next_below(8));
+        const Hash32 slot = slot_of(rng.next_below(kFleetSlots));
         const U256 value{1 + rng.next_below(100)};
         for_each([&](StateDB& db) {
           db.delete_account(addr);
@@ -205,9 +221,11 @@ class StateFleet {
         if (!snapshots_.empty()) {
           const auto snaps = snapshots_.back();
           snapshots_.pop_back();
+          check_roots();
           for (std::size_t i = 0; i < dbs_.size(); ++i) {
             dbs_[i]->revert_to(snaps[i]);
           }
+          check_roots();
         }
         break;
       default:
@@ -219,14 +237,21 @@ class StateFleet {
   void commit_and_check() {
     snapshots_.clear();
     for_each([](StateDB& db) { db.commit(); });
-    const Hash32 root = dbs_[0]->state_root();
-    const Hash32 mpt = dbs_[0]->state_root_mpt();
-    ASSERT_EQ(mpt, dbs_[0]->state_root_mpt_full());
+    check_roots();
     for (std::size_t i = 1; i < dbs_.size(); ++i) {
-      ASSERT_EQ(dbs_[i]->state_root(), root) << "db " << i;
-      ASSERT_EQ(dbs_[i]->state_root_mpt(), mpt) << "db " << i;
       ASSERT_EQ(dbs_[i]->account_count(), dbs_[0]->account_count())
           << "db " << i;
+    }
+  }
+
+  /// Every db's root equals the reference digest of its own public reads,
+  /// and all dbs agree.
+  void check_roots() {
+    const Hash32 root = dbs_[0]->state_root();
+    for (std::size_t i = 0; i < dbs_.size(); ++i) {
+      ASSERT_EQ(dbs_[i]->state_root(), fleet_reference_root(*dbs_[i]))
+          << "db " << i;
+      ASSERT_EQ(dbs_[i]->state_root(), root) << "db " << i;
     }
   }
 
@@ -273,7 +298,6 @@ TEST(StateBackend, RevertedRecreateOverTombstoneStillFlushesDeletion) {
   }
   EXPECT_EQ(backend->get(victim), std::nullopt);
   EXPECT_EQ(db.state_root(), reference.state_root());
-  EXPECT_EQ(db.state_root_mpt(), reference.state_root_mpt());
 
   // The double-delete variant: the second deletion sees a tombstoned-but-
   // resident account, and a full revert must restore the original.
@@ -300,8 +324,6 @@ TEST_P(StateBackendDifferential, AllConfigurationsAgreeAtEveryCommit) {
 
   StateConfig bounded_cfg;
   bounded_cfg.snapshot_capacity = 4;
-  bounded_cfg.storage_trie_cache = 2;
-  bounded_cfg.trie_node_cache_limit = 64;
   StateDB bounded{bounded_cfg, std::make_shared<MemoryBackend>()};
 
   StateDB unbounded{StateConfig{}, std::make_shared<MemoryBackend>()};
@@ -320,6 +342,84 @@ TEST_P(StateBackendDifferential, AllConfigurationsAgreeAtEveryCommit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StateBackendDifferential,
                          ::testing::Range(std::uint64_t{0}, std::uint64_t{24}));
+
+// An OverlayState must read back exactly the state that the same writes
+// produce directly on a StateDB: after every op, the reference digest of the
+// overlay's reads equals the mirror's state_root(), across SELFDESTRUCT,
+// recreate and nested reverts. apply_to() then lands the same root on the
+// base.
+TEST(OverlayDifferential, ReadsMatchDirectWritesAtEveryStep) {
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    StateDB base;
+    for (std::uint64_t i = 0; i < kFleetAccounts; i += 2) {
+      base.add_balance(addr_of(i), U256{100 + i});
+      base.set_storage(addr_of(i), slot_of(i % kFleetSlots), U256{i + 1});
+      if (i % 4 == 0) {
+        base.set_code(addr_of(i), Bytes{0x60, static_cast<std::uint8_t>(i)});
+      }
+    }
+    base.commit();
+    StateDB mirror = base;
+    OverlayState overlay{base};
+    StateView* views[] = {&overlay, &mirror};
+    std::vector<std::pair<StateView::Snapshot, StateView::Snapshot>> snaps;
+    Rng rng{seed};
+    for (int step = 0; step < 200; ++step) {
+      const Address addr = addr_of(rng.next_below(kFleetAccounts));
+      switch (rng.next_below(10)) {
+        case 0:
+        case 1: {
+          const U256 delta{1 + rng.next_below(1000)};
+          for (StateView* v : views) v->add_balance(addr, delta);
+          break;
+        }
+        case 2:
+          for (StateView* v : views) v->increment_nonce(addr);
+          break;
+        case 3:
+        case 4: {
+          const Hash32 slot = slot_of(rng.next_below(kFleetSlots));
+          const U256 value{rng.next_below(4) == 0 ? 0 : 1 + rng.next_below(99)};
+          for (StateView* v : views) v->set_storage(addr, slot, value);
+          break;
+        }
+        case 5: {
+          Bytes code(rng.next_below(8));
+          for (auto& b : code) b = static_cast<std::uint8_t>(rng.next_u64());
+          for (StateView* v : views) v->set_code(addr, code);
+          break;
+        }
+        case 6:
+          for (StateView* v : views) v->delete_account(addr);
+          break;
+        case 7: {
+          const Hash32 slot = slot_of(rng.next_below(kFleetSlots));
+          for (StateView* v : views) {
+            v->delete_account(addr);
+            v->create_account(addr);
+            v->set_storage(addr, slot, U256{7});
+          }
+          break;
+        }
+        case 8:
+          snaps.emplace_back(overlay.snapshot(), mirror.snapshot());
+          break;
+        default:
+          if (!snaps.empty()) {
+            overlay.revert_to(snaps.back().first);
+            mirror.revert_to(snaps.back().second);
+            snaps.pop_back();
+          }
+          break;
+      }
+      ASSERT_EQ(fleet_reference_root(overlay), mirror.state_root())
+          << "seed " << seed << " step " << step;
+    }
+    overlay.apply_to(base);
+    base.commit();
+    EXPECT_EQ(base.state_root(), mirror.state_root()) << "seed " << seed;
+  }
+}
 
 // --- backend-mode behaviour --------------------------------------------------
 
@@ -445,7 +545,6 @@ TEST(StateBackend, OverlaySpeculationOverBackedState) {
   reference.add_balance(addr_of(4), U256{30});
   reference.commit();
   EXPECT_EQ(db.state_root(), reference.state_root());
-  EXPECT_EQ(db.state_root_mpt(), reference.state_root_mpt());
 }
 
 // --- log backend: reopen, crash safety, compaction ---------------------------
@@ -454,7 +553,6 @@ TEST(LogBackendReopen, StateSurvivesCloseAndReopen) {
   const std::string path = fresh_log_path("srbb_reopen.log");
   StateDB reference;
   Hash32 root;
-  Hash32 mpt_root;
   {
     StateConfig cfg;
     cfg.snapshot_capacity = 3;
@@ -464,13 +562,11 @@ TEST(LogBackendReopen, StateSurvivesCloseAndReopen) {
     for (int step = 0; step < 200; ++step) fleet.step(rng);
     fleet.commit_and_check();
     root = db.state_root();
-    mpt_root = db.state_root_mpt();
   }  // db and backend destroyed; the log file holds the state
 
   StateDB reopened{StateConfig{}, std::make_shared<LogBackend>(path)};
   EXPECT_EQ(reopened.state_root(), root);
-  EXPECT_EQ(reopened.state_root_mpt(), mpt_root);
-  EXPECT_EQ(reopened.state_root_mpt_full(), mpt_root);
+  EXPECT_EQ(reopened.state_root(), fleet_reference_root(reopened));
   EXPECT_EQ(reopened.account_count(), reference.account_count());
 }
 
@@ -553,85 +649,3 @@ TEST(LogBackendCompaction, DropsSupersededRecordsAndPreservesState) {
 
 }  // namespace
 }  // namespace srbb::state
-
-// --- deferred root computation (oracle wiring) -------------------------------
-
-namespace srbb::node {
-namespace {
-
-const crypto::SignatureScheme& scheme() {
-  return crypto::SignatureScheme::fast_sim();
-}
-
-txn::BlockPtr transfer_block(std::uint64_t index, std::uint64_t nonce) {
-  txn::TxParams params;
-  params.nonce = nonce;
-  params.gas_limit = 30'000;
-  params.to = scheme().make_identity(4242).address();
-  params.value = U256{10};
-  auto tx = txn::make_tx_ptr(
-      txn::make_signed(params, scheme().make_identity(1), scheme()));
-  return std::make_shared<const txn::Block>(
-      txn::make_block(index, 0, 0, Hash32{}, {std::move(tx)},
-                      scheme().make_identity(0), scheme()));
-}
-
-GenesisSpec funded_genesis() {
-  GenesisSpec genesis;
-  genesis.accounts.push_back(
-      {scheme().make_identity(1).address(), U256{1'000'000'000}});
-  return genesis;
-}
-
-TEST(DeferredRoot, RepublishesBetweenIntervalBoundaries) {
-  state::StateConfig cfg;
-  cfg.defer_root = true;
-  cfg.root_interval = 4;
-  ExecutionOracle deferred{funded_genesis(), {}, scheme(), cfg};
-  ExecutionOracle eager{funded_genesis(), {}, scheme()};
-
-  std::vector<Hash32> deferred_roots;
-  std::vector<Hash32> eager_roots;
-  for (std::uint64_t index = 0; index < 9; ++index) {
-    const std::vector<txn::BlockPtr> blocks = {transfer_block(index, index)};
-    deferred_roots.push_back(deferred.execute(index, blocks).state_root);
-    eager_roots.push_back(eager.execute(index, blocks).state_root);
-  }
-
-  // Boundaries recompute and agree with the eager oracle; in between, the
-  // last boundary root is republished even though the state advanced.
-  for (std::uint64_t index = 0; index < 9; ++index) {
-    if (index % cfg.root_interval == 0) {
-      EXPECT_EQ(deferred_roots[index], eager_roots[index]) << index;
-    } else {
-      EXPECT_EQ(deferred_roots[index],
-                deferred_roots[index - index % cfg.root_interval])
-          << index;
-      EXPECT_NE(deferred_roots[index], eager_roots[index]) << index;
-    }
-  }
-  EXPECT_EQ(deferred.root_stats().computed, 3u);  // indices 0, 4, 8
-  EXPECT_EQ(deferred.root_stats().deferred, 6u);
-  EXPECT_EQ(eager.root_stats().computed, 9u);
-  EXPECT_EQ(eager.root_stats().deferred, 0u);
-  // The underlying states are identical regardless of publication cadence.
-  EXPECT_EQ(deferred.db().state_root(), eager.db().state_root());
-}
-
-TEST(DeferredRoot, ResetClearsRootMemo) {
-  state::StateConfig cfg;
-  cfg.defer_root = true;
-  cfg.root_interval = 8;
-  ExecutionOracle oracle{funded_genesis(), {}, scheme(), cfg};
-  const Hash32 genesis_root = oracle.db().state_root();
-  oracle.execute(0, {transfer_block(0, 0)});
-  oracle.reset();
-  EXPECT_EQ(oracle.db().state_root(), genesis_root);
-  EXPECT_EQ(oracle.root_stats().computed, 0u);
-  // Index 0 after reset computes afresh (no stale memo republished).
-  const Hash32 root = oracle.execute(0, {transfer_block(0, 0)}).state_root;
-  EXPECT_EQ(root, oracle.db().state_root());
-}
-
-}  // namespace
-}  // namespace srbb::node

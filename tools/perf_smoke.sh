@@ -10,9 +10,7 @@
 #   3. zero-copy RLP parse beats the copying decoder on a block-shaped frame;
 #   4. analysis-hinted scheduling aborts strictly fewer speculations than
 #      blind Block-STM on the hot-slot regime (the rw-set hints claim);
-#   5. the incremental node-cached MPT root (block-sized write burst at 1e5
-#      accounts) beats the from-scratch rebuild (the state-stack claim);
-#   6. on the two-contract router regime the composed interprocedural hints
+#   5. on the two-contract router regime the composed interprocedural hints
 #      schedule with zero aborts and zero sequential fallbacks while blind
 #      speculation aborts (the summary-composition claim).
 #
@@ -25,7 +23,7 @@ build_dir="${1:-$repo_root/build-perf}"
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j "$(nproc)" \
       --target bench_micro_crypto bench_micro_pool bench_micro_codec \
-               bench_micro_parallel_exec bench_micro_state
+               bench_micro_parallel_exec
 
 out="$build_dir/perf_smoke"
 mkdir -p "$out"
@@ -41,9 +39,6 @@ mkdir -p "$out"
 "$build_dir/bench/bench_micro_parallel_exec" --benchmark_min_time=0.05 \
     --benchmark_filter='BM_(ParallelExec|HintedExec)/workload:(2|8)/workers:4' \
     --benchmark_format=json > "$out/exec.json"
-"$build_dir/bench/bench_micro_state" --benchmark_min_time=0.1 \
-    --benchmark_filter='BM_StateRootMpt(Incremental|Full)/100000$' \
-    --benchmark_format=json > "$out/state.json"
 
 python3 - "$out" <<'EOF'
 import json
@@ -100,16 +95,7 @@ if not hinted < blind:
 else:
     print("  hinted-aborts < blind-aborts [ok]")
 
-# 5. Incremental MPT root vs full rebuild at 1e5 accounts. Measured ~0.005
-#    (1.9 ms vs 412 ms); 0.10 still proves dirty-subtrie recompute with a
-#    10x margin for noise. Note the burst sizes differ (64+8 writes vs 1),
-#    which only biases AGAINST the incremental side.
-state = load("state.json")
-check("mpt-incremental-1e5 / mpt-full-1e5",
-      state["BM_StateRootMptIncremental/100000"] /
-      state["BM_StateRootMptFull/100000"], 0.10)
-
-# 6. Router regime (workload 8 = token transfers DELEGATECALLed through a
+# 5. Router regime (workload 8 = token transfers DELEGATECALLed through a
 #    proxy, one shared hot recipient). Only the composed interprocedural
 #    summary resolves the cross-contract write, so hints must eliminate both
 #    aborts and sequential fallbacks entirely; blind speculation aborts and
