@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
-#include "crypto/batch.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/merkle.hpp"
@@ -72,10 +70,10 @@ void BM_Ed25519_Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519_Verify);
 
-// --- batch verification strategy sweep (docs/PERF.md) ------------------
-// Same workload for every strategy: n distinct (message, signature, key)
-// triples, all valid — the common case on the eager-validation path. The
-// per-item time is the number to compare against BM_Ed25519_Verify.
+// --- batch verification (docs/PERF.md) -----------------------------------
+// Same workload for both: n distinct (message, signature, key) triples, all
+// valid — the common case on the eager-validation path. The per-item time
+// is the number to compare against BM_Ed25519_Verify.
 
 struct BatchFixture {
   std::vector<Bytes> messages;
@@ -98,39 +96,30 @@ BatchFixture make_batch(std::size_t n) {
   return fixture;
 }
 
-void run_batch_bench(benchmark::State& state, const BatchVerifier& verifier) {
+void BM_Ed25519_BatchSequential(benchmark::State& state) {
   const SignatureScheme& ed = SignatureScheme::ed25519();
   const BatchFixture fixture =
       make_batch(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(verifier.verify(ed, fixture.items));
+    for (const BatchVerifyItem& item : fixture.items) {
+      benchmark::DoNotOptimize(
+          ed.verify(item.message, item.signature, item.public_key));
+    }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_Ed25519_BatchSequential(benchmark::State& state) {
-  run_batch_bench(state, SequentialBatchVerifier{});
-}
 BENCHMARK(BM_Ed25519_BatchSequential)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_Ed25519_BatchThreaded(benchmark::State& state) {
-  ThreadPool pool;
-  run_batch_bench(state, ThreadedBatchVerifier{pool, /*min_parallel=*/0});
-}
-BENCHMARK(BM_Ed25519_BatchThreaded)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
-
 void BM_Ed25519_BatchMultiScalar(benchmark::State& state) {
-  run_batch_bench(state, SharedBatchVerifier{});
+  const SignatureScheme& ed = SignatureScheme::ed25519();
+  const BatchFixture fixture =
+      make_batch(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ed.verify_batch(fixture.items));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Ed25519_BatchMultiScalar)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_Ed25519_BatchThreadedMultiScalar(benchmark::State& state) {
-  ThreadPool pool;
-  run_batch_bench(state, ThreadedSharedBatchVerifier{pool, /*chunk_size=*/64,
-                                                     /*min_parallel=*/0});
-}
-BENCHMARK(BM_Ed25519_BatchThreadedMultiScalar)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 // Worst case for the bisection: every item invalid, forcing the fallback to
 // descend to single-equation leaves (cost ~2x sequential, bounded).
@@ -138,9 +127,8 @@ void BM_Ed25519_BatchMultiScalarAllBad(benchmark::State& state) {
   const SignatureScheme& ed = SignatureScheme::ed25519();
   BatchFixture fixture = make_batch(static_cast<std::size_t>(state.range(0)));
   for (auto& item : fixture.items) item.signature[5] ^= 1;
-  const SharedBatchVerifier verifier;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(verifier.verify(ed, fixture.items));
+    benchmark::DoNotOptimize(ed.verify_batch(fixture.items));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -7,6 +7,7 @@
 #include "evm/contracts.hpp"
 #include "evm/interpreter.hpp"
 #include "txn/executor.hpp"
+#include "txn/pipeline.hpp"
 #include "txn/validation.hpp"
 
 namespace {
@@ -120,10 +121,11 @@ void BM_EagerValidate(benchmark::State& state) {
   params.gas_limit = 30'000;
   params.to = addr(3);
   params.value = U256{1};
-  const txn::Transaction tx = txn::make_signed(params, sender, scheme());
-  const txn::ValidationConfig config;
+  const txn::TxPtr tx =
+      txn::make_tx_ptr(txn::make_signed(params, sender, scheme()));
+  const txn::ValidationPipeline pipeline(scheme(), txn::ValidationConfig{});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(txn::eager_validate(tx, db, scheme(), config));
+    benchmark::DoNotOptimize(pipeline.validate_one(*tx, db));
   }
 }
 BENCHMARK(BM_EagerValidate);

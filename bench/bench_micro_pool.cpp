@@ -4,11 +4,10 @@
 
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "oracle_eager_validate.hpp"
 #include "pool/txpool.hpp"
 #include "state/statedb.hpp"
 #include "txn/pipeline.hpp"
-#include "txn/validation.hpp"
 
 namespace {
 
@@ -85,10 +84,11 @@ void BM_PoolRemoveCommitted(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolRemoveCommitted);
 
-// --- eager validation: monolith vs staged pipeline (docs/PERF.md) -------
+// --- eager validation: monolith vs pipeline (docs/PERF.md) --------------
 // Real ed25519 signatures and a populated StateDB; the monolith is the
-// pre-pipeline per-transaction eager_validate (re-encode + re-hash + one
-// verify per tx), the pipeline reads cached fields and batch-verifies.
+// pre-pipeline per-transaction eager_validate kept as the test oracle
+// (tests/oracle_eager_validate.hpp: re-encode + re-hash + one verify per
+// tx), the pipeline reads cached fields and batch-verifies.
 
 const crypto::SignatureScheme& ed25519() {
   return crypto::SignatureScheme::ed25519();
@@ -117,7 +117,8 @@ void BM_EagerValidateMonolith(benchmark::State& state) {
   for (auto _ : state) {
     for (const auto& tx : fixture.txs) {
       benchmark::DoNotOptimize(
-          txn::eager_validate(tx->tx, fixture.db, ed25519(), fixture.vcfg));
+          txn::oracle::eager_validate(tx->tx, fixture.db, ed25519(),
+                                      fixture.vcfg));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -133,22 +134,6 @@ void BM_PipelineValidate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PipelineValidate)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_PipelineValidatePooled(benchmark::State& state) {
-  const ValidationFixture fixture(static_cast<std::size_t>(state.range(0)));
-  ThreadPool pool;
-  const crypto::ThreadedSharedBatchVerifier verifier(pool, /*chunk_size=*/64,
-                                                     /*min_parallel=*/16);
-  txn::PipelineOptions options;
-  options.pool = &pool;
-  options.verifier = &verifier;
-  const txn::ValidationPipeline pipeline(ed25519(), fixture.vcfg, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.validate(fixture.txs, fixture.db));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PipelineValidatePooled)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_TxHashAndCache(benchmark::State& state) {
   txn::TxParams params;

@@ -90,7 +90,7 @@ class GossipChainNode : public sim::SimNode {
   const sim::GossipOverlay* overlay_;
 
   pool::TxPool pool_;
-  /// Staged validation over cached fields; per-event paths use validate_one.
+  /// Eager validation over cached fields; per-event paths use validate_one.
   txn::ValidationPipeline pipeline_;
   std::unordered_set<Hash32, Hash32Hasher> seen_txs_;
   std::unordered_set<Hash32, Hash32Hasher> seen_blocks_;

@@ -32,7 +32,6 @@ ExecutionOracle::ExecutionOracle(const GenesisSpec& genesis,
                                  const crypto::SignatureScheme& scheme)
     : genesis_(genesis), block_template_(block_template) {
   genesis_.apply(db_);
-  exec_config_.verify_signature = true;
   exec_config_.scheme = &scheme;
 }
 

@@ -23,8 +23,7 @@ ValidatorNode::ValidatorNode(sim::Simulation& simulation, sim::NodeId id,
       rpm_(std::move(rpm)),
       overlay_(overlay),
       pool_(config_.pool),
-      pipeline_(*config_.scheme, config_.validation,
-                txn::PipelineOptions{.metrics = config_.metrics}) {
+      pipeline_(*config_.scheme, config_.validation, config_.metrics) {
   CatchUpConfig sync_config;
   sync_config.n = config_.n;
   sync_config.self = config_.self;
@@ -623,13 +622,13 @@ void ValidatorNode::commit_index(std::uint64_t index,
 void ValidatorNode::recycle_undecided(std::uint64_t index) {
   // Alg. 1 lines 27-31: transactions of received-but-undecided blocks are
   // eagerly validated and returned to the pool for a future block. Each
-  // block goes through the staged pipeline as one batch — one batched
-  // signature verification per block instead of per transaction — and the
-  // survivors are re-admitted in one add_batch call. Candidate selection and
-  // metric accounting match the old per-transaction loop exactly: in-block
-  // duplicates are screened by `in_batch` (the sequential loop caught them
-  // via pool_.contains after the first admission), and admission between
-  // blocks keeps cross-block duplicates on the pool_.contains path.
+  // block goes through ValidationPipeline::validate as one batch — one
+  // verify_batch call per block instead of one verify per transaction — and
+  // the survivors are re-admitted in one add_batch call. Candidate selection
+  // and metric accounting match the old per-transaction loop exactly:
+  // in-block duplicates are screened by `in_batch` (the sequential loop
+  // caught them via pool_.contains after the first admission), and admission
+  // between blocks keeps cross-block duplicates on the pool_.contains path.
   const auto it = instances_.find(index);
   if (it == instances_.end()) return;
   std::vector<txn::TxPtr> candidates;

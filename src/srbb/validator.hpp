@@ -232,9 +232,8 @@ class ValidatorNode : public sim::SimNode {
   const sim::GossipOverlay* overlay_;
 
   pool::TxPool pool_;
-  /// Staged validation (DESIGN.md §11): per-event paths use validate_one
-  /// (the monolith's exact order over cached fields); recycle_undecided
-  /// batches a whole undecided block through the stages at once.
+  /// Eager validation (DESIGN.md §11): per-event paths use validate_one;
+  /// recycle_undecided validates a whole undecided block with validate().
   txn::ValidationPipeline pipeline_;
   std::unordered_set<Hash32, Hash32Hasher> seen_gossip_;
   std::unordered_set<Hash32, Hash32Hasher> committed_txs_;

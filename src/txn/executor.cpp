@@ -17,7 +17,7 @@ Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
   // Check (i): signature, raised as an execution-time error when an invalid
   // transaction slipped past (only possible when eager validation was skipped
   // or forged by a Byzantine proposer).
-  if (config.verify_signature && !verify_signature(tx, *config.scheme)) {
+  if (!verify_signature(tx, *config.scheme)) {
     return Status::error("exec: invalid signature (ErrInvalidSig)");
   }
 

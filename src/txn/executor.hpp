@@ -28,10 +28,8 @@ struct Receipt {
 };
 
 struct ExecutionConfig {
-  /// Re-check the signature during execution (check (i) of §IV-D: the VM
-  /// raises the equivalent of ErrInvalidSig). Skippable when the caller
-  /// already eagerly validated this transaction.
-  bool verify_signature = true;
+  /// Scheme for the execution-time signature check (check (i) of §IV-D: the
+  /// VM raises the equivalent of ErrInvalidSig).
   const crypto::SignatureScheme* scheme = &crypto::SignatureScheme::ed25519();
 
   /// CREATE-time static code validation (evm/analysis): deployments whose

@@ -8,11 +8,6 @@ namespace srbb::txn {
 
 namespace {
 
-// Maximum wei the transaction can cost: gas budget plus transferred value.
-U256 max_cost(const Transaction& tx) {
-  return tx.gas_price * U256{tx.gas_limit} + tx.value;
-}
-
 Status structural_check(const CachedTx& cached,
                         const ValidationConfig& config) {
   // (ii) size limit first: cheap and bounds later work. The cached wire size
@@ -43,9 +38,12 @@ Status state_check(const CachedTx& cached, const state::StateView& db,
   if (db.balance(sender) < max_cost(tx)) {
     return Status::error("eager: insufficient balance for gas + value");
   }
-  // (vi) static min-gas gate, as in eager_validate: the composed
-  // interprocedural bound, so invoke-of-router transactions are gated by
-  // their whole call tree, not just the entry frame.
+  // (vi) static min-gas gate: every successful path through the callee costs
+  // at least its statically-analyzed minimum, so a budget below that cannot
+  // buy a successful execution — reject before it reaches consensus. The
+  // *composed* bound (interproc.hpp) also charges guarded resolved call
+  // sites their callee's minimum, so an invoke of a router contract is gated
+  // on the whole call tree, not just the router's own frame.
   if (config.analysis_cache != nullptr && tx.kind == TxKind::kInvoke) {
     const Bytes& code = db.code(tx.to);
     if (!code.empty()) {
@@ -62,113 +60,83 @@ Status state_check(const CachedTx& cached, const state::StateView& db,
   return Status::ok();
 }
 
+constexpr const char* kInvalidSignature = "eager: invalid signature";
+
 }  // namespace
 
-void StructuralStage::run(ValidationBatch& batch) const {
-  const std::size_t n = batch.txs.size();
-  auto check = [&](std::size_t i) {
-    if (!batch.results[i].is_ok()) return;
-    Status status = structural_check(*batch.txs[i], *config_);
-    if (!status.is_ok()) batch.results[i] = std::move(status);
-  };
-  if (pool_ != nullptr && n >= min_parallel_) {
-    // Distinct vector elements; no two workers touch the same index.
-    pool_->parallel_for(n, check);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) check(i);
-  }
-}
-
-void SignatureStage::run(ValidationBatch& batch) const {
-  std::vector<std::uint32_t> live;
-  std::vector<crypto::BatchVerifyItem> items;
-  live.reserve(batch.txs.size());
-  items.reserve(batch.txs.size());
-  for (std::size_t i = 0; i < batch.txs.size(); ++i) {
-    if (!batch.results[i].is_ok()) continue;
-    const CachedTx& cached = *batch.txs[i];
-    // The message is the cached signing digest — a view into the CachedTx,
-    // which outlives the call via the batch's TxPtr span.
-    items.push_back({cached.signing_hash.view(), cached.tx.signature,
-                     cached.tx.sender_pubkey});
-    live.push_back(static_cast<std::uint32_t>(i));
-  }
-  if (items.empty()) return;
-  const std::vector<bool> ok = verifier_->verify(*scheme_, items);
-  for (std::size_t j = 0; j < live.size(); ++j) {
-    if (!ok[j]) {
-      batch.results[live[j]] = Status::error("eager: invalid signature");
-    }
-  }
-}
-
-void StateStage::run(ValidationBatch& batch) const {
-  for (std::size_t i = 0; i < batch.txs.size(); ++i) {
-    if (!batch.results[i].is_ok()) continue;
-    Status status = state_check(*batch.txs[i], *batch.db, *config_);
-    if (!status.is_ok()) batch.results[i] = std::move(status);
-  }
+void ValidationPipeline::CheckCounters::add(std::size_t passed,
+                                            std::size_t failed) const {
+  if (pass == nullptr) return;
+  pass->inc(passed);
+  fail->inc(failed);
 }
 
 ValidationPipeline::ValidationPipeline(const crypto::SignatureScheme& scheme,
                                        ValidationConfig config,
-                                       PipelineOptions options)
+                                       obs::MetricsRegistry* metrics)
     : scheme_(&scheme), config_(config) {
-  const crypto::BatchVerifier& verifier =
-      options.verifier != nullptr ? *options.verifier : default_verifier_;
-  stages_.push_back(std::make_unique<StructuralStage>(config_, options.pool,
-                                                      options.min_parallel));
-  stages_.push_back(std::make_unique<SignatureStage>(*scheme_, verifier));
-  stages_.push_back(std::make_unique<StateStage>(config_));
-  if (options.metrics != nullptr) {
-    counters_.reserve(stages_.size());
-    for (const auto& stage : stages_) {
-      const std::string base =
-          std::string("validate.stage.") + stage->name();
-      counters_.push_back({&options.metrics->counter(base + ".pass"),
-                           &options.metrics->counter(base + ".fail")});
-    }
-  }
+  if (metrics == nullptr) return;
+  const auto counters = [metrics](const char* check) {
+    const std::string base = std::string("validate.stage.") + check;
+    return CheckCounters{&metrics->counter(base + ".pass"),
+                         &metrics->counter(base + ".fail")};
+  };
+  structural_ = counters("structural");
+  signature_ = counters("signature");
+  state_ = counters("state");
 }
 
 std::vector<Status> ValidationPipeline::validate(
     std::span<const TxPtr> txs, const state::StateView& db) const {
-  ValidationBatch batch;
-  batch.txs = txs;
-  batch.db = &db;
-  batch.results.assign(txs.size(), Status::ok());
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    std::size_t entering = 0;
-    if (!counters_.empty()) {
-      for (const Status& r : batch.results) entering += r.is_ok() ? 1 : 0;
-    }
-    stages_[s]->run(batch);
-    if (!counters_.empty()) {
-      std::size_t surviving = 0;
-      for (const Status& r : batch.results) surviving += r.is_ok() ? 1 : 0;
-      counters_[s].pass->inc(surviving);
-      counters_[s].fail->inc(entering - surviving);
+  std::vector<Status> results(txs.size());
+  std::vector<std::uint32_t> live;  // indices still passing
+  std::vector<crypto::BatchVerifyItem> items;
+  live.reserve(txs.size());
+  items.reserve(txs.size());
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    const CachedTx& cached = *txs[i];
+    results[i] = structural_check(cached, config_);
+    if (!results[i].is_ok()) continue;
+    // The message is a view of the cached signing digest, which the TxPtr
+    // keeps alive across the verify_batch call.
+    items.push_back({cached.signing_hash.view(), cached.tx.signature,
+                     cached.tx.sender_pubkey});
+    live.push_back(static_cast<std::uint32_t>(i));
+  }
+  structural_.add(live.size(), txs.size() - live.size());
+
+  // (i) one batch over every structurally valid item.
+  std::size_t signed_ok = live.size();
+  if (!items.empty()) {
+    const std::vector<bool> ok = scheme_->verify_batch(items);
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      if (ok[j]) continue;
+      results[live[j]] = Status::error(kInvalidSignature);
+      --signed_ok;
     }
   }
-  return std::move(batch.results);
+  signature_.add(signed_ok, live.size() - signed_ok);
+
+  std::size_t state_ok = 0;
+  for (const std::uint32_t i : live) {
+    if (!results[i].is_ok()) continue;
+    results[i] = state_check(*txs[i], db, config_);
+    state_ok += results[i].is_ok() ? 1 : 0;
+  }
+  state_.add(state_ok, signed_ok - state_ok);
+  return results;
 }
 
 Status ValidationPipeline::validate_one(const CachedTx& tx,
                                         const state::StateView& db) const {
-  return eager_validate_cached(tx, db, *scheme_, config_);
-}
-
-Status eager_validate_cached(const CachedTx& tx, const state::StateView& db,
-                             const crypto::SignatureScheme& scheme,
-                             const ValidationConfig& config) {
-  Status status = structural_check(tx, config);
+  Status status = structural_check(tx, config_);
   if (!status.is_ok()) return status;
-  // (i) signature over the cached digest — the expensive check.
-  if (!scheme.verify(tx.signing_hash.view(), tx.tx.signature,
-                     tx.tx.sender_pubkey)) {
-    return Status::error("eager: invalid signature");
+  // (i) the single verify, never a one-item verify_batch (see header).
+  if (!scheme_->verify(tx.signing_hash.view(), tx.tx.signature,
+                       tx.tx.sender_pubkey)) {
+    return Status::error(kInvalidSignature);
   }
-  return state_check(tx, db, config);
+  return state_check(tx, db, config_);
 }
 
 }  // namespace srbb::txn

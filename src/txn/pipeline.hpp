@@ -1,156 +1,63 @@
-// Pipelined eager validation (DESIGN.md §11). eager_validate's monolithic
-// checks (i)-(vi) decomposed into composable ValidationStage plugins — the
-// block-validator plugin idiom — ordered cheapest first:
+// Eager validation (the paper's first tier, §II-B; DESIGN.md §11). Checks
+// (i)-(vi) run in two groups around the signature check, cheapest first:
 //
-//   structural  (ii) wire-size cap, gas floor / intrinsic cost   data-parallel
-//   signature   (i)  sender signature                            batched
-//   state       (iii) nonce window, (iv)+(v) balance,            sequential
+//   structural  (ii) wire-size cap, gas floor / intrinsic cost
+//   signature   (i)  sender signature
+//   state       (iii) nonce window, (iv)+(v) balance,
 //               (vi) static min-gas gate
 //
-// A transaction stops at its first failing stage with exactly the Status
-// string eager_validate would produce, so batch results are positionally
-// identical to the monolith (test_validation_pipeline checks this
-// differentially). The signature stage hands the whole surviving batch to a
-// BatchVerifier — by default the scheme's shared-computation algorithm, for
-// ed25519 one multi-scalar multiplication — which is where the >=N-fold
-// per-item cost collapses to well under N independent verifies.
+// A transaction stops at its first failing check, and every failure has one
+// fixed Status string. validate() verifies the signatures of a whole batch
+// with one SignatureScheme::verify_batch call — for ed25519 one multi-scalar
+// multiplication — which is where the per-item cost collapses to well under
+// one independent verify. validate_one() calls the single verify and never
+// runs batch code: a batch of two or more ed25519 items can accept a
+// torsion-only defect that verify rejects (docs/PERF.md "Soundness
+// caveat").
 //
-// The pipeline reads only cached per-transaction values (CachedTx size,
-// signing hash, sender), so validating never re-encodes or re-hashes a
-// transaction.
+// Both read only cached per-transaction values (CachedTx size, signing hash,
+// sender), so validating never re-encodes or re-hashes a transaction.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
-#include "crypto/batch.hpp"
+#include "crypto/signature.hpp"
 #include "obs/metrics.hpp"
 #include "txn/txref.hpp"
 #include "txn/validation.hpp"
 
 namespace srbb::txn {
 
-/// A batch moving through the stages. results[i] stays ok() while item i is
-/// passing; the first failing stage writes the monolith's error Status and
-/// later stages skip the item.
-struct ValidationBatch {
-  std::span<const TxPtr> txs;
-  const state::StateView* db = nullptr;
-  std::vector<Status> results;
-};
-
-/// One composable stage: stateless and const, so a stage object may be run
-/// from several pipeline instances (and, for the data-parallel stages, from
-/// pool workers on disjoint items) concurrently.
-class ValidationStage {
- public:
-  virtual ~ValidationStage() = default;
-  virtual const char* name() const = 0;
-  virtual void run(ValidationBatch& batch) const = 0;
-};
-
-struct PipelineOptions {
-  /// Worker pool for the data-parallel stages; nullptr runs everything on
-  /// the calling thread.
-  ThreadPool* pool = nullptr;
-  /// Batches smaller than this stay on the calling thread even with a pool.
-  std::size_t min_parallel = 16;
-  /// Signature strategy override; nullptr uses the scheme's own batch
-  /// algorithm on the calling thread (crypto::SharedBatchVerifier).
-  const crypto::BatchVerifier* verifier = nullptr;
-  /// When set, per-stage pass/fail counters are registered as
-  /// "validate.stage.<name>.pass|fail" and batch admission counters update
-  /// alongside. Counting happens on the calling thread only.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// Checks (ii): wire-size cap and gas floor, from cached sizes.
-class StructuralStage final : public ValidationStage {
- public:
-  StructuralStage(const ValidationConfig& config, ThreadPool* pool,
-                  std::size_t min_parallel)
-      : config_(&config), pool_(pool), min_parallel_(min_parallel) {}
-  const char* name() const override { return "structural"; }
-  void run(ValidationBatch& batch) const override;
-
- private:
-  const ValidationConfig* config_;
-  ThreadPool* pool_;
-  std::size_t min_parallel_;
-};
-
-/// Check (i): every surviving item's signature, verified as one batch over
-/// the cached signing digests.
-class SignatureStage final : public ValidationStage {
- public:
-  SignatureStage(const crypto::SignatureScheme& scheme,
-                 const crypto::BatchVerifier& verifier)
-      : scheme_(&scheme), verifier_(&verifier) {}
-  const char* name() const override { return "signature"; }
-  void run(ValidationBatch& batch) const override;
-
- private:
-  const crypto::SignatureScheme* scheme_;
-  const crypto::BatchVerifier* verifier_;
-};
-
-/// Checks (iii)-(vi): nonce window, balance, static min-gas gate. Sequential
-/// — state reads are cheap and the StateView interface makes no concurrency
-/// promises.
-class StateStage final : public ValidationStage {
- public:
-  explicit StateStage(const ValidationConfig& config) : config_(&config) {}
-  const char* name() const override { return "state"; }
-  void run(ValidationBatch& batch) const override;
-
- private:
-  const ValidationConfig* config_;
-};
-
 class ValidationPipeline {
  public:
+  /// With `metrics`, validate() counts each check's survivors and failures
+  /// as "validate.stage.<structural|signature|state>.pass|fail".
   ValidationPipeline(const crypto::SignatureScheme& scheme,
-                     ValidationConfig config, PipelineOptions options = {});
+                     ValidationConfig config,
+                     obs::MetricsRegistry* metrics = nullptr);
 
-  /// Validate a batch; results are positionally identical to running
-  /// eager_validate on each transaction. External synchronization required
-  /// (one validate() at a time per pipeline); internal parallelism comes
-  /// from PipelineOptions::pool.
+  /// Validate a batch: results[i] is the Status validate_one would return
+  /// for txs[i]. One verify_batch call covers the structurally valid items.
   std::vector<Status> validate(std::span<const TxPtr> txs,
                                const state::StateView& db) const;
 
-  /// Single-transaction fast path over the cached fields — the monolith's
-  /// exact check order and error strings without re-encoding. This is what
-  /// per-event callers (validator nodes inside the sim) use, keeping their
-  /// per-transaction trace cadence bit-identical.
+  /// Single-transaction path, used by per-event callers (validator nodes
+  /// inside the sim) so their per-transaction trace cadence is unchanged.
+  /// Counts nothing.
   Status validate_one(const CachedTx& tx, const state::StateView& db) const;
 
-  const ValidationConfig& config() const { return config_; }
-  std::span<const std::unique_ptr<ValidationStage>> stages() const {
-    return stages_;
-  }
-
  private:
+  struct CheckCounters {
+    obs::Counter* pass = nullptr;  // both null without a registry
+    obs::Counter* fail = nullptr;
+    void add(std::size_t passed, std::size_t failed) const;
+  };
+
   const crypto::SignatureScheme* scheme_;
   ValidationConfig config_;
-  crypto::SharedBatchVerifier default_verifier_;
-  std::vector<std::unique_ptr<ValidationStage>> stages_;
-  struct StageCounters {
-    obs::Counter* pass = nullptr;
-    obs::Counter* fail = nullptr;
-  };
-  std::vector<StageCounters> counters_;  // parallel to stages_; empty if no
-                                         // metrics registry was supplied
+  CheckCounters structural_, signature_, state_;
 };
-
-/// eager_validate over the cached fields of a CachedTx: identical check
-/// order and error strings, no re-encode (size), no re-hash (signing
-/// digest), no sender re-derivation.
-Status eager_validate_cached(const CachedTx& tx, const state::StateView& db,
-                             const crypto::SignatureScheme& scheme,
-                             const ValidationConfig& config);
 
 }  // namespace srbb::txn

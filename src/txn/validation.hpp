@@ -3,6 +3,7 @@
 //  - Eager validation runs when a transaction first arrives (from a client in
 //    SRBB; from clients *and* peers in modern blockchains). It checks the
 //    signature — the expensive part — plus size, balance and a nonce window.
+//    txn::ValidationPipeline (txn/pipeline.hpp) is its one implementation.
 //  - Lazy validation runs just before execution and checks only nonce, gas
 //    affordability and balance. It is deliberately weaker and cheaper; a
 //    transaction that slips through fails at execution time without touching
@@ -12,7 +13,6 @@
 #include <cstdint>
 
 #include "common/status.hpp"
-#include "crypto/signature.hpp"
 #include "evm/analysis/cache.hpp"
 #include "state/statedb.hpp"
 #include "txn/transaction.hpp"
@@ -32,12 +32,6 @@ struct ValidationConfig {
       &evm::analysis::AnalysisCache::global();
 };
 
-/// Full check: signature (i), size (ii), nonce window (iii), gas
-/// affordability (iv), transferred value coverage (v).
-Status eager_validate(const Transaction& tx, const state::StateView& db,
-                      const crypto::SignatureScheme& scheme,
-                      const ValidationConfig& config);
-
 /// Cheap pre-execution check: (iii) nonce is next, (iv) gas covered,
 /// (v) value covered. No signature verification.
 Status lazy_validate(const Transaction& tx, const state::StateView& db);
@@ -45,5 +39,8 @@ Status lazy_validate(const Transaction& tx, const state::StateView& db);
 /// 21000 + calldata pricing + creation surcharge; transactions whose gas
 /// limit cannot cover this are invalid.
 std::uint64_t intrinsic_gas(const Transaction& tx);
+
+/// Maximum wei the transaction can cost: gas budget plus transferred value.
+U256 max_cost(const Transaction& tx);
 
 }  // namespace srbb::txn

@@ -1,12 +1,13 @@
 // Adversarial tests for true batch ed25519 verification: the multi-scalar
 // combined equation with deterministic bisection must return results
-// positionally identical to batch_verify_sequential on every composition —
+// positionally identical to one verify() per item on every composition —
 // single bad items anywhere in the batch, all-bad batches, malleable and
-// non-canonical encodings — and every BatchVerifier strategy must agree.
-#include "crypto/batch.hpp"
+// non-canonical encodings.
+#include "crypto/signature.hpp"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,29 +34,22 @@ struct Batch {
   }
 };
 
-std::vector<bool> sequential(const Batch& batch) {
-  return batch_verify_sequential(scheme(), batch.items);
+/// The reference: one independent verify() per item.
+std::vector<bool> sequential(const SignatureScheme& scheme,
+                             std::span<const BatchVerifyItem> items) {
+  std::vector<bool> results;
+  for (const BatchVerifyItem& item : items) {
+    results.push_back(
+        scheme.verify(item.message, item.signature, item.public_key));
+  }
+  return results;
 }
 
-/// Every strategy — including the shared multi-scalar one with its
-/// bisection fallback — must agree with the sequential reference bit for
-/// bit.
-void expect_all_strategies_match(const Batch& batch,
-                                 const std::vector<bool>& want) {
-  EXPECT_EQ(sequential(batch), want);
+/// The multi-scalar batch, bisection fallback included, must agree with the
+/// sequential reference bit for bit.
+void expect_batch_matches(const Batch& batch, const std::vector<bool>& want) {
+  EXPECT_EQ(sequential(scheme(), batch.items), want);
   EXPECT_EQ(scheme().verify_batch(batch.items), want);
-  ThreadPool pool(4);
-  const SequentialBatchVerifier seq;
-  const ThreadedBatchVerifier threaded(pool, /*min_parallel=*/0);
-  const SharedBatchVerifier shared;
-  const ThreadedSharedBatchVerifier threaded_shared(pool, /*chunk_size=*/3,
-                                                    /*min_parallel=*/0);
-  const BatchVerifier* verifiers[] = {&seq, &threaded, &shared,
-                                      &threaded_shared};
-  for (const BatchVerifier* verifier : verifiers) {
-    EXPECT_EQ(verifier->verify(scheme(), batch.items), want)
-        << verifier->name();
-  }
 }
 
 Batch good_batch(std::size_t n) {
@@ -68,19 +62,19 @@ Batch good_batch(std::size_t n) {
 
 TEST(BatchVerifyAdversarial, EmptyBatch) {
   Batch batch;
-  expect_all_strategies_match(batch, {});
+  expect_batch_matches(batch, {});
 }
 
 TEST(BatchVerifyAdversarial, SingletonGoodAndBad) {
   Batch good = good_batch(1);
-  expect_all_strategies_match(good, {true});
+  expect_batch_matches(good, {true});
   Batch bad = good_batch(1);
   bad.items[0].signature[3] ^= 1;
-  expect_all_strategies_match(bad, {false});
+  expect_batch_matches(bad, {false});
 }
 
 TEST(BatchVerifyAdversarial, AllGood) {
-  expect_all_strategies_match(good_batch(9), std::vector<bool>(9, true));
+  expect_batch_matches(good_batch(9), std::vector<bool>(9, true));
 }
 
 TEST(BatchVerifyAdversarial, OneBadAtEveryPosition) {
@@ -92,7 +86,7 @@ TEST(BatchVerifyAdversarial, OneBadAtEveryPosition) {
     batch.items[bad].signature[17] ^= 0x40;
     std::vector<bool> want(8, true);
     want[bad] = false;
-    expect_all_strategies_match(batch, want);
+    expect_batch_matches(batch, want);
   }
 }
 
@@ -102,13 +96,13 @@ TEST(BatchVerifyAdversarial, TwoBadInOppositeHalves) {
   batch.items[6].signature[0] ^= 1;
   std::vector<bool> want(8, true);
   want[1] = want[6] = false;
-  expect_all_strategies_match(batch, want);
+  expect_batch_matches(batch, want);
 }
 
 TEST(BatchVerifyAdversarial, AllBad) {
   Batch batch = good_batch(7);
   for (auto& item : batch.items) item.signature[9] ^= 1;
-  expect_all_strategies_match(batch, std::vector<bool>(7, false));
+  expect_batch_matches(batch, std::vector<bool>(7, false));
 }
 
 TEST(BatchVerifyAdversarial, WrongKeyAndWrongMessage) {
@@ -119,7 +113,7 @@ TEST(BatchVerifyAdversarial, WrongKeyAndWrongMessage) {
   batch.messages[2][0] ^= 0xff;
   std::vector<bool> want(6, true);
   want[0] = want[2] = want[5] = false;
-  expect_all_strategies_match(batch, want);
+  expect_batch_matches(batch, want);
 }
 
 TEST(BatchVerifyAdversarial, MalleableScalarRejected) {
@@ -138,7 +132,7 @@ TEST(BatchVerifyAdversarial, MalleableScalarRejected) {
   for (int i = 0; i < 32; ++i) s_le[i] = be[31 - i];
   std::vector<bool> want(5, true);
   want[2] = false;
-  expect_all_strategies_match(batch, want);
+  expect_batch_matches(batch, want);
 }
 
 TEST(BatchVerifyAdversarial, NonCanonicalPointEncodings) {
@@ -151,7 +145,7 @@ TEST(BatchVerifyAdversarial, NonCanonicalPointEncodings) {
   batch.items[3].public_key[31] = 0x7f;
   std::vector<bool> want(4, true);
   want[1] = want[3] = false;
-  expect_all_strategies_match(batch, want);
+  expect_batch_matches(batch, want);
 }
 
 TEST(BatchVerifyAdversarial, DeterministicAcrossRuns) {
@@ -162,7 +156,7 @@ TEST(BatchVerifyAdversarial, DeterministicAcrossRuns) {
   for (int run = 0; run < 5; ++run) {
     EXPECT_EQ(scheme().verify_batch(batch.items), first);
   }
-  EXPECT_EQ(first, sequential(batch));
+  EXPECT_EQ(first, sequential(scheme(), batch.items));
 }
 
 TEST(BatchVerifyAdversarial, LargeMixedBatch) {
@@ -172,7 +166,7 @@ TEST(BatchVerifyAdversarial, LargeMixedBatch) {
     batch.items[i].signature[i % 64] ^= 1;
     want[i] = false;
   }
-  expect_all_strategies_match(batch, want);
+  expect_batch_matches(batch, want);
 }
 
 TEST(BatchVerifyAdversarial, FastSimSchemeBatchesToo) {
@@ -194,7 +188,7 @@ TEST(BatchVerifyAdversarial, FastSimSchemeBatchesToo) {
   std::vector<bool> want(6, true);
   want[4] = false;
   EXPECT_EQ(fast.verify_batch(items), want);
-  EXPECT_EQ(batch_verify_sequential(fast, items), want);
+  EXPECT_EQ(sequential(fast, items), want);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include "evm/interpreter.hpp"
 #include "obs/metrics.hpp"
 #include "txn/executor.hpp"
-#include "txn/validation.hpp"
+#include "txn/pipeline.hpp"
 
 namespace srbb::evm::analysis {
 namespace {
@@ -416,6 +416,11 @@ struct TxWorld {
     params.gas_limit = gas_limit;
     return txn::make_signed(params, alice, scheme());
   }
+
+  Status eager(const txn::Transaction& tx) const {
+    return txn::ValidationPipeline(scheme(), vcfg)
+        .validate_one(*txn::make_tx_ptr(tx), db);
+  }
 };
 
 TEST(TxGate, DeployOfDoomedCodeFailsButConsumesGas) {
@@ -445,12 +450,12 @@ TEST(TxGate, EagerRejectsBudgetBelowStaticMinimum) {
   w.db.set_code(target, assemble_or_die("PUSH1 1 PUSH1 2 ADD POP STOP"));
   const std::uint64_t intrinsic = 21'000;  // no calldata
   const auto tight = w.invoke(target, intrinsic + 10, 0);
-  const Status rejected = txn::eager_validate(tight, w.db, scheme(), w.vcfg);
+  const Status rejected = w.eager(tight);
   EXPECT_FALSE(rejected.is_ok());
   EXPECT_NE(rejected.message().find("static minimum"), std::string::npos);
 
   const auto enough = w.invoke(target, intrinsic + 11, 0);
-  EXPECT_TRUE(txn::eager_validate(enough, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_TRUE(w.eager(enough).is_ok());
 }
 
 TEST(TxGate, EagerRejectsCalleeWithNoSuccessfulPath) {
@@ -458,7 +463,7 @@ TEST(TxGate, EagerRejectsCalleeWithNoSuccessfulPath) {
   const Address target = addr(0x43);
   w.db.set_code(target, assemble_or_die("loop: JUMPDEST PUSH @loop JUMP"));
   const auto tx = w.invoke(target, 10'000'000, 0);
-  EXPECT_FALSE(txn::eager_validate(tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_FALSE(w.eager(tx).is_ok());
 }
 
 TEST(TxGate, NullCacheDisablesTheMinGasGate) {
@@ -467,7 +472,7 @@ TEST(TxGate, NullCacheDisablesTheMinGasGate) {
   w.db.set_code(target, assemble_or_die("loop: JUMPDEST PUSH @loop JUMP"));
   w.vcfg.analysis_cache = nullptr;
   const auto tx = w.invoke(target, 10'000'000, 0);
-  EXPECT_TRUE(txn::eager_validate(tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_TRUE(w.eager(tx).is_ok());
 }
 
 TEST(TxGate, TransfersBypassTheMinGasGate) {
@@ -478,7 +483,7 @@ TEST(TxGate, TransfersBypassTheMinGasGate) {
   params.value = U256{5};
   params.gas_limit = 30'000;
   const auto tx = txn::make_signed(params, w.alice, scheme());
-  EXPECT_TRUE(txn::eager_validate(tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_TRUE(w.eager(tx).is_ok());
 }
 
 // ------------------------------------------------- interpreter cache path --

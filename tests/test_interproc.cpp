@@ -27,8 +27,8 @@
 #include "state/overlay.hpp"
 #include "state/statedb.hpp"
 #include "txn/parallel_executor.hpp"
+#include "txn/pipeline.hpp"
 #include "txn/rwset.hpp"
-#include "txn/validation.hpp"
 
 namespace srbb::txn {
 namespace {
@@ -312,6 +312,11 @@ TEST(InterprocCacheKeying, HitWhileStableRecomposeOnCalleeCodeChange) {
 // ---------------------------------------------------------------------------
 // Composed min-gas: the under-gas drop (check vi) fires through calls.
 
+Status eager(const Transaction& tx, const state::StateView& db,
+             const ValidationConfig& vcfg) {
+  return ValidationPipeline(scheme(), vcfg).validate_one(*make_tx_ptr(tx), db);
+}
+
 TEST(InterprocMinGas, ComposedBoundExceedsIntraprocOnRouter) {
   state::StateDB db = make_state(1);
   AnalysisCache cache;
@@ -342,7 +347,7 @@ TEST(InterprocMinGas, EagerValidationGatesOnTheComposedBound) {
   // One unit below the composed minimum: rejected before consensus.
   const Transaction under =
       invoke(0, 0, kRouter, calldata, intrinsic + s.min_gas - 1);
-  const Status rejected = eager_validate(under, db, scheme(), vcfg);
+  const Status rejected = eager(under, db, vcfg);
   EXPECT_FALSE(rejected.is_ok());
   EXPECT_NE(rejected.message().find("static minimum"), std::string::npos);
 
@@ -350,7 +355,7 @@ TEST(InterprocMinGas, EagerValidationGatesOnTheComposedBound) {
   // the static bound must never reject a satisfiable budget.
   const Transaction at_bound =
       invoke(0, 1, kRouter, calldata, intrinsic + s.min_gas);
-  EXPECT_TRUE(eager_validate(at_bound, db, scheme(), vcfg).is_ok());
+  EXPECT_TRUE(eager(at_bound, db, vcfg).is_ok());
 
   ExecutionConfig config;
   config.scheme = &scheme();
@@ -387,7 +392,7 @@ TEST(InterprocMinGas, GuardedDoomedCalleeDoomsTheCaller) {
   ValidationConfig vcfg;
   vcfg.analysis_cache = &analyses;
   const Transaction tx = invoke(0, 0, caller_at, {}, 10'000'000);
-  const Status st = eager_validate(tx, db, scheme(), vcfg);
+  const Status st = eager(tx, db, vcfg);
   EXPECT_FALSE(st.is_ok());
   EXPECT_NE(st.message().find("static minimum"), std::string::npos);
 

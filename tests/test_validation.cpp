@@ -1,11 +1,13 @@
 // Tests for the paper's eager/lazy validation split (§II-B) and the
-// execute(t) semantics of Alg. 1 lines 32-40.
+// execute(t) semantics of Alg. 1 lines 32-40. Eager checks run through
+// ValidationPipeline::validate_one, the path validator nodes take.
 #include "txn/validation.hpp"
 
 #include <gtest/gtest.h>
 
 #include "evm/contracts.hpp"
 #include "txn/executor.hpp"
+#include "txn/pipeline.hpp"
 
 namespace srbb::txn {
 namespace {
@@ -37,19 +39,24 @@ struct World {
     params.gas_price = U256{1};
     return make_signed(params, from, scheme());
   }
+
+  Status eager(const Transaction& tx) const {
+    return ValidationPipeline(scheme(), vcfg)
+        .validate_one(*make_tx_ptr(tx), db);
+  }
 };
 
 TEST(EagerValidation, AcceptsWellFormed) {
   World w;
   const Transaction tx = w.transfer(w.alice, w.bob.address(), 100, 0);
-  EXPECT_TRUE(eager_validate(tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_TRUE(w.eager(tx).is_ok());
 }
 
 TEST(EagerValidation, RejectsBadSignature) {
   World w;
   Transaction tx = w.transfer(w.alice, w.bob.address(), 100, 0);
   tx.signature[5] ^= 1;
-  const Status s = eager_validate(tx, w.db, scheme(), w.vcfg);
+  const Status s = w.eager(tx);
   EXPECT_FALSE(s.is_ok());
   EXPECT_NE(s.message().find("signature"), std::string::npos);
 }
@@ -60,7 +67,7 @@ TEST(EagerValidation, RejectsOversized) {
   params.data = Bytes(w.vcfg.max_tx_size + 1, 0xaa);
   params.gas_limit = 10'000'000;
   const Transaction tx = make_signed(params, w.alice, scheme());
-  const Status s = eager_validate(tx, w.db, scheme(), w.vcfg);
+  const Status s = w.eager(tx);
   EXPECT_FALSE(s.is_ok());
   EXPECT_NE(s.message().find("size"), std::string::npos);
 }
@@ -69,20 +76,20 @@ TEST(EagerValidation, RejectsStaleNonce) {
   World w;
   w.db.set_nonce(w.alice.address(), 5);
   const Transaction tx = w.transfer(w.alice, w.bob.address(), 100, 4);
-  EXPECT_FALSE(eager_validate(tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_FALSE(w.eager(tx).is_ok());
 }
 
 TEST(EagerValidation, AcceptsFutureNonceInWindow) {
   World w;
   const Transaction tx = w.transfer(w.alice, w.bob.address(), 100, 10);
-  EXPECT_TRUE(eager_validate(tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_TRUE(w.eager(tx).is_ok());
 }
 
 TEST(EagerValidation, RejectsNonceBeyondWindow) {
   World w;
   const Transaction tx =
       w.transfer(w.alice, w.bob.address(), 100, w.vcfg.nonce_window + 1);
-  EXPECT_FALSE(eager_validate(tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_FALSE(w.eager(tx).is_ok());
 }
 
 TEST(EagerValidation, RejectsInsufficientBalance) {
@@ -90,7 +97,7 @@ TEST(EagerValidation, RejectsInsufficientBalance) {
   // The flooding-attack construction from §V-B: sender balance is zero.
   const Transaction tx = w.transfer(scheme().make_identity(77),
                                     w.bob.address(), 100, 0);
-  const Status s = eager_validate(tx, w.db, scheme(), w.vcfg);
+  const Status s = w.eager(tx);
   EXPECT_FALSE(s.is_ok());
   EXPECT_NE(s.message().find("balance"), std::string::npos);
 }
@@ -101,7 +108,7 @@ TEST(EagerValidation, RejectsGasBelowIntrinsic) {
   params.gas_limit = 20'000;  // below the 21000 floor
   params.to = w.bob.address();
   const Transaction tx = make_signed(params, w.alice, scheme());
-  EXPECT_FALSE(eager_validate(tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_FALSE(w.eager(tx).is_ok());
 }
 
 TEST(LazyValidation, RequiresExactNonce) {
@@ -140,11 +147,11 @@ TEST(EagerValidation, SizeBoundaryIsInclusive) {
   at_limit.data = Bytes(w.vcfg.max_tx_size - overhead, 0xaa);
   const Transaction ok_tx = make_signed(at_limit, w.alice, scheme());
   ASSERT_EQ(ok_tx.wire_size(), w.vcfg.max_tx_size);
-  EXPECT_TRUE(eager_validate(ok_tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_TRUE(w.eager(ok_tx).is_ok());
 
   at_limit.data.push_back(0xaa);
   const Transaction big_tx = make_signed(at_limit, w.alice, scheme());
-  EXPECT_FALSE(eager_validate(big_tx, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_FALSE(w.eager(big_tx).is_ok());
 }
 
 TEST(EagerValidation, BalanceMustCoverGasPlusValueExactly) {
@@ -158,10 +165,10 @@ TEST(EagerValidation, BalanceMustCoverGasPlusValueExactly) {
   params.to = w.bob.address();
   params.value = U256{500};
   const Transaction exact = make_signed(params, tight, scheme());
-  EXPECT_TRUE(eager_validate(exact, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_TRUE(w.eager(exact).is_ok());
   params.value = U256{501};
   const Transaction over = make_signed(params, tight, scheme());
-  EXPECT_FALSE(eager_validate(over, w.db, scheme(), w.vcfg).is_ok());
+  EXPECT_FALSE(w.eager(over).is_ok());
 }
 
 TEST(IntrinsicGas, CountsDataBytes) {
@@ -292,16 +299,6 @@ TEST(Executor, RevertedInvokeStillConsumesGasAndNonce) {
   EXPECT_FALSE(bob_receipt.value().success);  // ...that reverted
   EXPECT_GT(bob_receipt.value().gas_used, 21'000u);
   EXPECT_EQ(w.db.nonce(w.bob.address()), 1u);  // nonce still consumed
-}
-
-TEST(Executor, SkipSignatureCheckWhenPreValidated) {
-  World w;
-  Transaction tx = w.transfer(w.alice, w.bob.address(), 10, 0);
-  tx.signature[0] ^= 1;
-  ExecutionConfig cfg;
-  cfg.verify_signature = false;  // models a node that eagerly validated
-  auto receipt = apply_transaction(tx, w.db, w.block, cfg);
-  EXPECT_TRUE(receipt.is_ok());
 }
 
 TEST(Executor, GasRefundForUnusedGas) {

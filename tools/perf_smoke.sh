@@ -5,8 +5,8 @@
 #
 #   1. multi-scalar batch ed25519 (batch 64) beats one-at-a-time verify
 #      per item;
-#   2. the staged validation pipeline (batch 64) beats the monolithic
-#      eager_validate loop;
+#   2. ValidationPipeline::validate (batch 64) beats a loop over the
+#      monolithic eager_validate test oracle (tests/oracle_eager_validate.hpp);
 #   3. zero-copy RLP parse beats the copying decoder on a block-shaped frame;
 #   4. analysis-hinted scheduling aborts strictly fewer speculations than
 #      blind Block-STM on the hot-slot regime (the rw-set hints claim);
@@ -70,8 +70,9 @@ batch_per_item = crypto["BM_Ed25519_BatchMultiScalar/64"] / 64.0
 check("multiscalar-batch64 / single-verify",
       batch_per_item / crypto["BM_Ed25519_Verify"], 0.90)
 
-# 2. Pipeline vs monolith at batch 64 (same single-core budget; the
-#    pipeline additionally drops re-encode/re-hash work). Measured ~0.50.
+# 2. Pipeline vs the monolith test oracle at batch 64 (same single-core
+#    budget; the pipeline additionally drops re-encode/re-hash work).
+#    Measured ~0.50.
 check("pipeline-batch64 / monolith-batch64",
       pool["BM_PipelineValidate/64"] / pool["BM_EagerValidateMonolith/64"],
       0.85)

@@ -17,4 +17,4 @@ cmake --build "$build_dir" -j "$(nproc)" \
                test_batch_verify test_rwset test_reliability \
                test_state_backend test_interproc
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|BoundedQueue|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|DeferredRoot|Interproc'
+      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|BoundedQueue|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|Interproc'
