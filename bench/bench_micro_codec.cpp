@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "codec/rlp.hpp"
+#include "oracle_tx_decode.hpp"
 #include "txn/block.hpp"
 #include "txn/transaction.hpp"
 
@@ -54,7 +55,7 @@ BENCHMARK(BM_RlpDecodeView);
 void BM_TxDecodeCopying(benchmark::State& state) {
   const Bytes wire = make_tx(7, static_cast<std::size_t>(state.range(0))).encode();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(txn::Transaction::decode_copying(wire));
+    benchmark::DoNotOptimize(txn::oracle::decode_copying(wire));
   }
   state.SetBytesProcessed(state.iterations() * wire.size());
 }

@@ -9,6 +9,7 @@
 
 #include "codec/rlp.hpp"
 #include "harness.hpp"
+#include "oracle_tx_decode.hpp"
 #include "txn/transaction.hpp"
 
 using namespace srbb;
@@ -41,7 +42,7 @@ void check_same_tree(const rlp::Item& item, const rlp::ItemView& view,
 }
 
 void check_tx_differential(BytesView input) {
-  const auto copying = txn::Transaction::decode_copying(input);
+  const auto copying = txn::oracle::decode_copying(input);
   const auto viewing = txn::Transaction::decode(input);
   FUZZ_ASSERT(copying.is_ok() == viewing.is_ok());
   if (copying.is_ok()) {

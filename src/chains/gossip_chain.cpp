@@ -128,9 +128,9 @@ void GossipChainNode::propose(std::uint64_t slot) {
       config_.preset.max_block_txs, config_.preset.max_block_bytes, now());
   if (txs.empty()) return;  // idle slot
   ++metrics_.blocks_proposed;
-  auto block = std::make_shared<const txn::Block>(
-      txn::make_block(slot, config_.self, now(), Hash32{}, std::move(txs),
-                      identity_, *config_.scheme));
+  const txn::BlockPtr block =
+      txn::seal(txn::make_block(slot, config_.self, now(), Hash32{},
+                                std::move(txs), identity_, *config_.scheme));
   seen_blocks_.insert(block->hash());
   auto msg = std::make_shared<GossipBlockMsg>();
   msg->block = block;

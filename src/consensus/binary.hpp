@@ -75,33 +75,6 @@ class BinaryConsensus {
   void rebroadcast();
 
  private:
-  /// Per-sender flag bits. Sender ranks are chosen by peers and may reach
-  /// past n (a membership view's effective n is below the committee size),
-  /// so ranks below kDenseRanks index a byte array grown on demand and any
-  /// larger rank falls back to a map.
-  class SenderFlags {
-   public:
-    explicit SenderFlags(std::uint32_t n) : dense_(n, 0) {}
-    /// Set `bit` for `rank`; true when it was not set before.
-    bool set(std::uint32_t rank, std::uint8_t bit) {
-      std::uint8_t& bits = at(rank);
-      if ((bits & bit) != 0) return false;
-      bits |= bit;
-      return true;
-    }
-
-   private:
-    static constexpr std::uint32_t kDenseRanks = 1024;
-    std::uint8_t& at(std::uint32_t rank) {
-      if (rank >= dense_.size()) {
-        if (rank >= kDenseRanks) return sparse_[rank];
-        dense_.resize(rank + 1, 0);
-      }
-      return dense_[rank];
-    }
-    std::vector<std::uint8_t> dense_;
-    std::map<std::uint32_t, std::uint8_t> sparse_;
-  };
   /// SenderFlags bits, indexed by value where the value matters. A round's
   /// flags record EST per value and the first AUX (whose value is counted
   /// in aux_count); decided_from_ records DECIDED per value.

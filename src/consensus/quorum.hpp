@@ -9,6 +9,9 @@
 // list and removed (slashed) validators — so shrinking the membership
 // shrinks every quorum in lock-step.
 //
+// SenderFlags is the per-sender dedup under every quorum count: the binary
+// machine's EST/AUX/DECIDED senders and the superblock's echo senders.
+//
 // MembershipView is one snapshot of that committee: per-rank
 // Active/Disabled/Removed status plus the derived effective (n, f). Views
 // are pure values; the reliability tracker owns their evolution and the
@@ -17,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "common/invariant.hpp"
@@ -50,6 +54,40 @@ struct QuorumParams {
   }
 
   bool operator==(const QuorumParams&) const = default;
+};
+
+/// Per-sender flag bits, so a quorum counts each sender once. Sender ranks
+/// are chosen by peers and may reach past n (a membership view's effective n
+/// is below the committee size), so ranks below kDenseRanks index a byte
+/// array grown on demand and any larger rank falls back to a map.
+class SenderFlags {
+ public:
+  explicit SenderFlags(std::uint32_t n) : dense_(n, 0) {}
+  /// Set `bit` for `rank`; true when it was not set before.
+  bool set(std::uint32_t rank, std::uint8_t bit) {
+    std::uint8_t& bits = at(rank);
+    if ((bits & bit) != 0) return false;
+    bits |= bit;
+    return true;
+  }
+  /// True when `bit` is set for `rank`.
+  bool test(std::uint32_t rank, std::uint8_t bit) const {
+    if (rank < dense_.size()) return (dense_[rank] & bit) != 0;
+    const auto it = sparse_.find(rank);
+    return it != sparse_.end() && (it->second & bit) != 0;
+  }
+
+ private:
+  static constexpr std::uint32_t kDenseRanks = 1024;
+  std::uint8_t& at(std::uint32_t rank) {
+    if (rank >= dense_.size()) {
+      if (rank >= kDenseRanks) return sparse_[rank];
+      dense_.resize(rank + 1, 0);
+    }
+    return dense_[rank];
+  }
+  std::vector<std::uint8_t> dense_;
+  std::map<std::uint32_t, std::uint8_t> sparse_;
 };
 
 enum class MemberStatus : std::uint8_t {

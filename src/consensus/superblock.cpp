@@ -161,7 +161,6 @@ void SuperblockInstance::on_propose(std::uint32_t from, const ProposeMsg& msg) {
   if (msg.block->header.index != index_) return;
 
   slot.block = msg.block;
-  slot.block_hash = block_hash;
   if (!slot.echoed) {
     slot.echoed = true;
     slot.echoed_hash = block_hash;
@@ -188,16 +187,16 @@ void SuperblockInstance::record_echo(std::uint32_t proposer, std::uint32_t from,
   // ahead of every member's.
   if (!counted(from)) return;
   ProposalSlot& slot = slots_[proposer];
-  auto& senders = slot.echoes[hash];
-  senders.insert(from);
+  EchoSenders& senders = slot.echoes.try_emplace(hash, config_.n).first->second;
+  if (senders.from.set(from, kEchoFrom)) ++senders.count;
   // Quorum sizes are bounded by the validator set; more echoers than ranks
   // means sender accounting is corrupt and every quorum below is suspect.
-  SRBB_CHECK(senders.size() <= config_.n);
+  SRBB_CHECK(senders.count <= config_.n);
 
   // Bracha amplification: f+1 echoes for a hash we have not echoed -> echo
   // it too (without needing the body), so every correct node reaches the
   // delivery quorum when any does.
-  if (!slot.echoed && senders.size() >= quorums_.amplify()) {
+  if (!slot.echoed && senders.count >= quorums_.amplify()) {
     slot.echoed = true;
     slot.echoed_hash = hash;
     auto echo = std::make_shared<EchoMsg>();
@@ -210,10 +209,10 @@ void SuperblockInstance::record_echo(std::uint32_t proposer, std::uint32_t from,
   }
 
   if (!slot.delivered_hash.has_value() &&
-      senders.size() >= quorums_.supermajority()) {
+      senders.count >= quorums_.supermajority()) {
     // Quorum intersection makes this hash unique for the slot.
     slot.delivered_hash = hash;
-    const bool have_body = slot.block != nullptr && slot.block_hash == hash;
+    const bool have_body = slot.block != nullptr && slot.block->hash() == hash;
     if (have_body) {
       if (!slot.bin_started && !timeout_fired_) start_bin(proposer, true);
     } else if (slot.block != nullptr) {
@@ -325,14 +324,14 @@ void SuperblockInstance::start_bin(std::uint32_t proposer, bool input) {
 
 bool SuperblockInstance::slot_ready(const ProposalSlot& slot) const {
   return slot.delivered_hash.has_value() && slot.block != nullptr &&
-         slot.block_hash == *slot.delivered_hash;
+         slot.block->hash() == *slot.delivered_hash;
 }
 
 bool SuperblockInstance::quorum_certified(const ProposalSlot& slot) const {
   if (!slot.delivered_hash.has_value()) return false;
   const auto it = slot.echoes.find(*slot.delivered_hash);
   return it != slot.echoes.end() &&
-         it->second.size() >= quorums_.supermajority();
+         it->second.count >= quorums_.supermajority();
 }
 
 void SuperblockInstance::request_pull(std::uint32_t proposer) {
@@ -363,8 +362,11 @@ void SuperblockInstance::request_pull(std::uint32_t proposer) {
     if (s.delivered_hash.has_value()) {
       const auto quorum = s.echoes.find(*s.delivered_hash);
       if (quorum != s.echoes.end()) {
-        for (const std::uint32_t peer : quorum->second) {
-          if (peer != config_.self) candidates.push_back(peer);
+        const SenderFlags& echoers = quorum->second.from;
+        for (std::uint32_t peer = 0; peer < config_.n; ++peer) {
+          if (peer != config_.self && echoers.test(peer, kEchoFrom)) {
+            candidates.push_back(peer);
+          }
         }
       }
     }
@@ -426,7 +428,7 @@ SuperblockInstance::SlotDebug SuperblockInstance::slot_debug(
   out.delivered = slot.delivered_hash.has_value();
   out.pulling = slot.pulling;
   for (const auto& [hash, senders] : slot.echoes) {
-    out.echoers = std::max(out.echoers, senders.size());
+    out.echoers = std::max<std::size_t>(out.echoers, senders.count);
   }
   out.bin_started = slot.bin_started;
   if (slot.bin != nullptr) {

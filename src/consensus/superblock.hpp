@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/time.hpp"
@@ -121,13 +120,18 @@ class SuperblockInstance {
   SlotDebug slot_debug(std::uint32_t proposer) const;
 
  private:
+  /// The distinct senders that echoed one hash, and how many there are.
+  struct EchoSenders {
+    explicit EchoSenders(std::uint32_t n) : from(n) {}
+    SenderFlags from;
+    std::uint32_t count = 0;
+  };
+  static constexpr std::uint8_t kEchoFrom = 1;
+
   struct ProposalSlot {
     txn::BlockPtr block;            // body as received (hash-checked)
-    // block->hash(), computed once in on_propose. Blocks are immutable
-    // (BlockPtr is shared_ptr<const Block>), so it cannot go stale.
-    Hash32 block_hash;
     std::optional<Hash32> delivered_hash;  // fixed by n-f echoes
-    std::map<Hash32, std::set<std::uint32_t>> echoes;
+    std::map<Hash32, EchoSenders> echoes;
     bool echoed = false;
     std::optional<Hash32> echoed_hash;  // what we echoed, for rebroadcast
     bool bin_started = false;

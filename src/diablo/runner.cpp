@@ -37,21 +37,25 @@ const Address kRouter = fixed_address(6);
 const U256 kHotRecipientWord{0x707ull};
 
 Bytes calldata_for(TxShape shape, std::uint64_t i) {
+  // Each selector is one Keccak, hashed once rather than per transaction.
+  static const std::uint32_t kTrade =
+      evm::selector("trade(uint256,uint256,uint256)");
+  static const std::uint32_t kRide = evm::selector("ride(uint256,uint256)");
+  static const std::uint32_t kBuy = evm::selector("buy(uint256,uint256)");
+  static const std::uint32_t kRtransfer =
+      evm::selector("rtransfer(uint256,uint256)");
   switch (shape) {
     case TxShape::kExchangeTrade:
       // Five hot stocks (AAPL/AMZN/FB/MSFT/GOOG in the trace).
-      return evm::encode_call("trade(uint256,uint256,uint256)",
-                              {U256{i % 5}, U256{100 + i % 50}, U256{1 + i % 9}});
+      return evm::encode_call(
+          kTrade, {U256{i % 5}, U256{100 + i % 50}, U256{1 + i % 9}});
     case TxShape::kMobilityRide:
-      return evm::encode_call("ride(uint256,uint256)",
-                              {U256{i}, U256{10 + i % 40}});
+      return evm::encode_call(kRide, {U256{i}, U256{10 + i % 40}});
     case TxShape::kTicketBuy:
       // Unique seats so honest buys never double-sell.
-      return evm::encode_call("buy(uint256,uint256)",
-                              {U256{i / 50'000}, U256{i % 50'000}});
+      return evm::encode_call(kBuy, {U256{i / 50'000}, U256{i % 50'000}});
     case TxShape::kRouterTransfer:
-      return evm::encode_call("rtransfer(uint256,uint256)",
-                              {kHotRecipientWord, U256{1}});
+      return evm::encode_call(kRtransfer, {kHotRecipientWord, U256{1}});
     case TxShape::kTransfer:
       return {};
   }
@@ -267,7 +271,7 @@ RunResult run_experiment(const RunConfig& config) {
       params.data = calldata_for(config.workload.shape, i);
     }
     const txn::TxPtr tx =
-        txn::make_tx_ptr(txn::make_signed(params, senders[sender], scheme()));
+        txn::make_signed_tx(params, senders[sender], scheme());
     // DIABLO distributes load round-robin over validators and clients.
     clients[i % config.clients]->add_submission(
         schedule[i], tx, static_cast<sim::NodeId>(i % targets));

@@ -89,7 +89,7 @@ const IndexExecResult& ExecutionOracle::execute(
       block_result.proposer = block->header.proposer;
       for (const txn::TxPtr& tx : block->txs) {
         const auto receipt =
-            txn::apply_transaction(tx->tx, db_, block_ctx, exec_config_);
+            txn::apply_transaction(*tx, db_, block_ctx, exec_config_);
         block_result.outcomes.push_back(outcome_from(tx, receipt, result));
       }
       result.blocks.push_back(std::move(block_result));

@@ -359,9 +359,8 @@ txn::BlockPtr ValidatorNode::build_proposal(std::uint64_t index) {
     ++metrics_.invalid_txs_flooded;
   }
   ++metrics_.blocks_proposed;
-  return std::make_shared<const txn::Block>(
-      txn::make_block(index, config_.self, now(), parent_hash_, std::move(txs),
-                      identity_, *config_.scheme));
+  return txn::seal(txn::make_block(index, config_.self, now(), parent_hash_,
+                                   std::move(txs), identity_, *config_.scheme));
 }
 
 txn::TxPtr ValidatorNode::make_invalid_tx() {
@@ -377,7 +376,7 @@ txn::TxPtr ValidatorNode::make_invalid_tx() {
   params.gas_limit = 21'000;
   params.to = identity_.address();
   params.value = U256{1};
-  return txn::make_tx_ptr(txn::make_signed(params, broke, *config_.scheme));
+  return txn::make_signed_tx(params, broke, *config_.scheme);
 }
 
 bool ValidatorNode::validate_header(const txn::Block& block) const {

@@ -14,7 +14,12 @@ Hash32 Block::compute_tx_root() const {
   return crypto::merkle_root(leaves);
 }
 
+Hash32 Block::body_root() const {
+  return memo_.sealed ? memo_.tx_root : compute_tx_root();
+}
+
 Hash32 Block::hash() const {
+  if (memo_.sealed) return memo_.hash;
   crypto::Sha256 h;
   std::uint8_t buf[8];
   put_be64(buf, header.index);
@@ -37,9 +42,17 @@ std::size_t Block::wire_size() const {
   return size;
 }
 
+BlockPtr seal(Block block) {
+  auto sealed = std::make_shared<Block>(std::move(block));
+  sealed->memo_.tx_root = sealed->compute_tx_root();
+  sealed->memo_.hash = sealed->hash();
+  sealed->memo_.sealed = true;
+  return sealed;
+}
+
 bool verify_block_certificate(const Block& block,
                               const crypto::SignatureScheme& scheme) {
-  if (block.compute_tx_root() != block.header.tx_root) return false;
+  if (block.body_root() != block.header.tx_root) return false;
   return scheme.verify(block.header.tx_root.view(),
                        block.header.cert.signed_tx_root,
                        block.header.cert.proposer_pubkey);
@@ -162,8 +175,7 @@ Result<Superblock> decode_superblock(BytesView wire) {
     if (block.value().header.index != superblock.index) {
       return Status::error("superblock: block index mismatch");
     }
-    superblock.blocks.push_back(
-        std::make_shared<const Block>(std::move(block).take()));
+    superblock.blocks.push_back(seal(std::move(block).take()));
   }
   return superblock;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -28,23 +29,54 @@ struct BlockHeader {
   BlockCertificate cert;
 };
 
+struct Block;
+using BlockPtr = std::shared_ptr<const Block>;
+
 struct Block {
   BlockHeader header;
   std::vector<TxPtr> txs;
 
-  /// Merkle root over the transaction hashes (h_t in Alg. 2).
+  /// Merkle root over the transaction hashes (h_t in Alg. 2), computed from
+  /// the body on every call.
   Hash32 compute_tx_root() const;
-  /// Block identity: hash of header fields + tx root.
+  /// The body's Merkle root: seal()'s memo on a sealed block, else
+  /// compute_tx_root().
+  Hash32 body_root() const;
+  /// Block identity: hash of header fields + tx root. Memoized on a sealed
+  /// block.
   Hash32 hash() const;
   /// Wire size estimate for bandwidth accounting: header overhead plus the
   /// exact wire size of every transaction.
   std::size_t wire_size() const;
+
+ private:
+  friend BlockPtr seal(Block block);
+
+  // The digests seal() computes before the block is shared. Copying or
+  // moving a block never carries them, so `Block b = *sealed; mutate(b);`
+  // recomputes both.
+  struct Memo {
+    Memo() = default;
+    Memo(const Memo&) noexcept {}
+    Memo& operator=(const Memo&) noexcept {
+      sealed = false;
+      return *this;
+    }
+    bool sealed = false;
+    Hash32 tx_root;
+    Hash32 hash;
+  };
+  Memo memo_;
 };
 
-using BlockPtr = std::shared_ptr<const Block>;
+/// The one way to share a block: compute its body root and hash() once,
+/// memoize both, then freeze it. Every node holding the pointer reuses the
+/// digests instead of re-merkleizing the body.
+BlockPtr seal(Block block);
 
 /// Header validity as consensus sees it (Alg. 1 line 16): the certificate's
 /// signature over the tx root verifies and the root matches the payload.
+/// Both checks run on every call; a sealed block only skips re-merkleizing.
 bool verify_block_certificate(const Block& block,
                               const crypto::SignatureScheme& scheme);
 

@@ -4,24 +4,29 @@
 
 namespace srbb::txn {
 
-Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
-                                  const evm::BlockContext& block,
-                                  const ExecutionConfig& config) {
+namespace {
+
+/// The one execution path: `sender`, `signing_hash` and `id` are the
+/// transaction's digests, computed by whoever holds them.
+Result<Receipt> execute(const Transaction& tx, const Address& sender,
+                        const Hash32& signing_hash, const Hash32& id,
+                        state::StateView& db, const evm::BlockContext& block,
+                        const ExecutionConfig& config) {
   // Pull the two accounts every transaction touches into the resident cache
   // before validation starts (no-op on fully resident states), so the reads
   // below are flat-map hits instead of interleaved backend faults.
-  db.prefetch(tx.sender());
+  db.prefetch(sender);
   if (tx.kind != TxKind::kDeploy) db.prefetch(tx.to);
   // Lazy validation: checks (iii)-(v). Failure -> invalid, no transition.
-  if (Status lazy = lazy_validate(tx, db); !lazy) return lazy;
+  if (Status lazy = lazy_validate(tx, sender, db); !lazy) return lazy;
   // Check (i): signature, raised as an execution-time error when an invalid
   // transaction slipped past (only possible when eager validation was skipped
   // or forged by a Byzantine proposer).
-  if (!verify_signature(tx, *config.scheme)) {
+  if (!config.scheme->verify(signing_hash.view(), tx.signature,
+                             tx.sender_pubkey)) {
     return Status::error("exec: invalid signature (ErrInvalidSig)");
   }
 
-  const Address sender = tx.sender();
   const U256 gas_prepay = tx.gas_price * U256{tx.gas_limit};
 
   const state::StateView::Snapshot tx_snapshot = db.snapshot();
@@ -54,7 +59,7 @@ Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
   const evm::ExecResult run = evm.execute(msg);
 
   Receipt receipt;
-  receipt.tx_hash = tx.hash();
+  receipt.tx_hash = id;
   receipt.success = run.ok();
   receipt.gas_used = tx.gas_limit - run.gas_left;
   if (run.ok()) {
@@ -73,6 +78,22 @@ Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
     db.add_balance(block.coinbase, tx.gas_price * U256{receipt.gas_used});
   }
   return receipt;
+}
+
+}  // namespace
+
+Result<Receipt> apply_transaction(const CachedTx& tx, state::StateView& db,
+                                  const evm::BlockContext& block,
+                                  const ExecutionConfig& config) {
+  return execute(tx.tx, tx.sender, tx.signing_hash, tx.hash, db, block,
+                 config);
+}
+
+Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
+                                  const evm::BlockContext& block,
+                                  const ExecutionConfig& config) {
+  return execute(tx, tx.sender(), tx.signing_hash(), tx.hash(), db, block,
+                 config);
 }
 
 }  // namespace srbb::txn

@@ -12,6 +12,7 @@
 #include "evm/interpreter.hpp"
 #include "state/statedb.hpp"
 #include "txn/transaction.hpp"
+#include "txn/txref.hpp"
 
 namespace srbb::evm::analysis {
 class AnalysisCache;
@@ -66,7 +67,13 @@ struct ExecutionConfig {
 
 /// Execute one transaction. Status error == invalid transaction (lazy
 /// validation or signature failed): state is untouched and the caller should
-/// discard the transaction (Alg. 1 line 23).
+/// discard the transaction (Alg. 1 line 23). The sender, signing digest and
+/// receipt id are the ones the CachedTx already holds.
+Result<Receipt> apply_transaction(const CachedTx& tx, state::StateView& db,
+                                  const evm::BlockContext& block,
+                                  const ExecutionConfig& config);
+/// The same execution for a bare transaction: derives the three digests,
+/// then runs the same code as the CachedTx overload.
 Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
                                   const evm::BlockContext& block,
                                   const ExecutionConfig& config);

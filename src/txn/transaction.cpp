@@ -4,6 +4,7 @@
 
 #include "codec/rlp.hpp"
 #include "crypto/keccak.hpp"
+#include "txn/txref.hpp"
 
 namespace srbb::txn {
 
@@ -19,6 +20,20 @@ rlp::ListBuilder unsigned_fields(const Transaction& tx) {
   rlp.add_u256(tx.value);
   rlp.add_bytes(tx.data);
   return rlp;
+}
+
+/// Fill every field but the signature; returns the digest to sign.
+Hash32 fill_unsigned(Transaction& tx, const TxParams& params,
+                     const crypto::Identity& identity) {
+  tx.kind = params.kind;
+  tx.nonce = params.nonce;
+  tx.gas_price = params.gas_price;
+  tx.gas_limit = params.gas_limit;
+  tx.to = params.to;
+  tx.value = params.value;
+  tx.data = params.data;
+  tx.sender_pubkey = identity.public_key;
+  return tx.signing_hash();
 }
 
 }  // namespace
@@ -94,60 +109,21 @@ Result<Transaction> decode_tx_view(const rlp::ItemView& root) {
   return tx;
 }
 
-Result<Transaction> Transaction::decode_copying(BytesView wire) {
-  auto doc = rlp::decode(wire);
-  if (!doc) return doc.status();
-  const rlp::Item& root = doc.value();
-  if (!root.is_list || root.items.size() != 9) {
-    return Status::error("tx: expected 9-item list");
-  }
-  Transaction tx;
-  auto kind = root.items[0].as_u64();
-  if (!kind || kind.value() > 2) return Status::error("tx: bad kind");
-  tx.kind = static_cast<TxKind>(kind.value());
-  auto nonce = root.items[1].as_u64();
-  if (!nonce) return nonce.status();
-  tx.nonce = nonce.value();
-  auto gas_price = root.items[2].as_u256();
-  if (!gas_price) return gas_price.status();
-  tx.gas_price = gas_price.value();
-  auto gas_limit = root.items[3].as_u64();
-  if (!gas_limit) return gas_limit.status();
-  tx.gas_limit = gas_limit.value();
-  if (root.items[4].is_list || root.items[4].payload.size() != 20) {
-    return Status::error("tx: bad to-address");
-  }
-  tx.to = Address{BytesView{root.items[4].payload}};
-  auto value = root.items[5].as_u256();
-  if (!value) return value.status();
-  tx.value = value.value();
-  if (root.items[6].is_list) return Status::error("tx: bad data field");
-  tx.data = root.items[6].payload;
-  if (root.items[7].is_list || root.items[7].payload.size() != 32) {
-    return Status::error("tx: bad public key");
-  }
-  std::memcpy(tx.sender_pubkey.data(), root.items[7].payload.data(), 32);
-  if (root.items[8].is_list || root.items[8].payload.size() != 64) {
-    return Status::error("tx: bad signature");
-  }
-  std::memcpy(tx.signature.data(), root.items[8].payload.data(), 64);
-  return tx;
-}
-
 Transaction make_signed(const TxParams& params, const crypto::Identity& identity,
                         const crypto::SignatureScheme& scheme) {
   Transaction tx;
-  tx.kind = params.kind;
-  tx.nonce = params.nonce;
-  tx.gas_price = params.gas_price;
-  tx.gas_limit = params.gas_limit;
-  tx.to = params.to;
-  tx.value = params.value;
-  tx.data = params.data;
-  tx.sender_pubkey = identity.public_key;
-  const Hash32 digest = tx.signing_hash();
+  const Hash32 digest = fill_unsigned(tx, params, identity);
   tx.signature = scheme.sign(identity, digest.view());
   return tx;
+}
+
+TxPtr make_signed_tx(const TxParams& params, const crypto::Identity& identity,
+                     const crypto::SignatureScheme& scheme) {
+  Transaction tx;
+  const Hash32 digest = fill_unsigned(tx, params, identity);
+  tx.signature = scheme.sign(identity, digest.view());
+  return std::make_shared<const CachedTx>(std::move(tx),
+                                          CachedTx::SignedDigest{digest});
 }
 
 bool verify_signature(const Transaction& tx,

@@ -44,10 +44,6 @@ struct Transaction {
   /// Strict decode via the zero-copy RLP path: field payloads are read as
   /// views into `wire` and copied at most once, into the Transaction itself.
   static Result<Transaction> decode(BytesView wire);
-  /// The original copying decoder, kept as the differential oracle —
-  /// fuzz_rlp_view and test_transaction check it agrees with decode() on
-  /// every input, byte for byte and error for error.
-  static Result<Transaction> decode_copying(BytesView wire);
   /// Size of the wire encoding in bytes (drives bandwidth accounting).
   std::size_t wire_size() const;
 

@@ -13,8 +13,8 @@ U256 max_cost(const Transaction& tx) {
   return tx.gas_price * U256{tx.gas_limit} + tx.value;
 }
 
-Status lazy_validate(const Transaction& tx, const state::StateView& db) {
-  const Address sender = tx.sender();
+Status lazy_validate(const Transaction& tx, const Address& sender,
+                     const state::StateView& db) {
   const std::uint64_t account_nonce = db.nonce(sender);
   if (tx.nonce != account_nonce) {
     return Status::error("lazy: nonce is not the next sequence number");
@@ -26,6 +26,14 @@ Status lazy_validate(const Transaction& tx, const state::StateView& db) {
     return Status::error("lazy: insufficient balance for gas + value");
   }
   return Status::ok();
+}
+
+Status lazy_validate(const CachedTx& tx, const state::StateView& db) {
+  return lazy_validate(tx.tx, tx.sender, db);
+}
+
+Status lazy_validate(const Transaction& tx, const state::StateView& db) {
+  return lazy_validate(tx, tx.sender(), db);
 }
 
 }  // namespace srbb::txn

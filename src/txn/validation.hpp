@@ -16,6 +16,7 @@
 #include "evm/analysis/cache.hpp"
 #include "state/statedb.hpp"
 #include "txn/transaction.hpp"
+#include "txn/txref.hpp"
 
 namespace srbb::txn {
 
@@ -32,8 +33,14 @@ struct ValidationConfig {
       &evm::analysis::AnalysisCache::global();
 };
 
-/// Cheap pre-execution check: (iii) nonce is next, (iv) gas covered,
-/// (v) value covered. No signature verification.
+/// Cheap pre-execution check of `tx` sent by `sender`: (iii) nonce is next,
+/// (iv) gas covered, (v) value covered. No signature verification. The one
+/// definition of checks (iii)-(v); the overloads below only supply `sender`.
+Status lazy_validate(const Transaction& tx, const Address& sender,
+                     const state::StateView& db);
+/// Lazy checks with the sender the CachedTx already holds.
+Status lazy_validate(const CachedTx& tx, const state::StateView& db);
+/// Lazy checks deriving the sender from the public key.
 Status lazy_validate(const Transaction& tx, const state::StateView& db);
 
 /// 21000 + calldata pricing + creation surcharge; transactions whose gas

@@ -62,6 +62,46 @@ TEST(Block, HashDependsOnContents) {
   EXPECT_NE(a.hash(), c.hash());
 }
 
+TEST(Block, SealMemoizesTheComputedDigests) {
+  const Block plain = sample_block();
+  const BlockPtr sealed = seal(sample_block());
+  EXPECT_EQ(sealed->hash(), plain.hash());
+  EXPECT_EQ(sealed->body_root(), plain.compute_tx_root());
+  EXPECT_EQ(sealed->compute_tx_root(), plain.compute_tx_root());
+  EXPECT_TRUE(verify_block_certificate(*sealed, scheme()));
+}
+
+TEST(Block, SealedForgedBodyFailsCertificate) {
+  // The body is swapped before sealing: the memo holds the forged body's
+  // root, which must still be checked against the signed header root.
+  Block forged = sample_block();
+  forged.txs.push_back(tx_ptr(9, 0));
+  EXPECT_FALSE(verify_block_certificate(*seal(std::move(forged)), scheme()));
+  Block dropped = sample_block();
+  dropped.txs.pop_back();
+  EXPECT_FALSE(verify_block_certificate(*seal(std::move(dropped)), scheme()));
+}
+
+TEST(Block, CopyOfSealedBlockRecomputesAfterMutation) {
+  const BlockPtr sealed = seal(sample_block());
+
+  Block more_txs = *sealed;
+  more_txs.txs.push_back(tx_ptr(9, 0));
+  EXPECT_FALSE(verify_block_certificate(more_txs, scheme()));
+
+  Block next_index = *sealed;
+  ++next_index.header.index;
+  EXPECT_NE(next_index.hash(), sealed->hash());
+
+  // Copy assignment drops the memo as well.
+  Block assigned = sample_block(4);
+  assigned = *sealed;
+  EXPECT_EQ(assigned.hash(), sealed->hash());
+  assigned.header.tx_root[0] ^= 1;
+  EXPECT_NE(assigned.hash(), sealed->hash());
+  EXPECT_FALSE(verify_block_certificate(assigned, scheme()));
+}
+
 TEST(Block, WireSizeCountsTransactions) {
   const Block b = sample_block();
   std::size_t expected = 184;
@@ -96,6 +136,20 @@ TEST(BlockCodec, EmptyBlockRoundTrip) {
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_TRUE(decoded.value().txs.empty());
   EXPECT_TRUE(verify_block_certificate(decoded.value(), scheme()));
+}
+
+TEST(BlockCodec, DecodedSuperblockBlocksKeepTheirDigests) {
+  const std::vector<BlockPtr> blocks = {seal(sample_block(3)),
+                                        seal(sample_block(4))};
+  auto decoded = decode_superblock(encode_superblock(5, blocks));
+  ASSERT_TRUE(decoded.is_ok()) << decoded.message();
+  ASSERT_EQ(decoded.value().blocks.size(), blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const Block& back = *decoded.value().blocks[i];
+    EXPECT_EQ(back.hash(), blocks[i]->hash());
+    EXPECT_EQ(back.body_root(), blocks[i]->compute_tx_root());
+    EXPECT_TRUE(verify_block_certificate(back, scheme()));
+  }
 }
 
 TEST(BlockCodec, RejectsGarbage) {

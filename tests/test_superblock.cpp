@@ -164,6 +164,21 @@ TEST(Superblock, InvalidCertificateDiscarded) {
   cluster.expect_all_complete_and_equal(3);
 }
 
+TEST(Superblock, SealedForgedBodyDiscarded) {
+  Cluster cluster{4, 1};
+  // Node 0 signs a header over one body and seals it with another: the memo
+  // carries the forged body's root, so every node's certificate check fails.
+  auto block = txn::make_block(0, 0, 0, Hash32{}, {make_tx(1, 0)},
+                               scheme().make_identity(0), scheme());
+  block.txs.push_back(make_tx(2, 0));
+  cluster.nodes[0]->begin(txn::seal(std::move(block)));
+  for (std::uint32_t i = 1; i < 4; ++i) {
+    cluster.nodes[i]->begin(make_proposal(i, 0, i));
+  }
+  cluster.run();
+  cluster.expect_all_complete_and_equal(3);
+}
+
 TEST(Superblock, PartialPropagationRecoversViaPull) {
   Cluster cluster{4, 1};
   // Node 0's PROPOSE reaches only nodes 1 and 2; echoes and everything else

@@ -46,6 +46,33 @@ TEST(Transaction, ForeignPubkeyBreaksSignature) {
   EXPECT_FALSE(verify_signature(tx, scheme()));
 }
 
+TEST(Transaction, MakeSignedTxMatchesMakeTxPtrOfMakeSigned) {
+  for (const crypto::SignatureScheme* s :
+       {&crypto::SignatureScheme::ed25519(),
+        &crypto::SignatureScheme::fast_sim()}) {
+    SCOPED_TRACE(s->name());
+    for (const TxKind kind :
+         {TxKind::kTransfer, TxKind::kDeploy, TxKind::kInvoke}) {
+      TxParams params;
+      params.kind = kind;
+      params.nonce = 4;
+      params.gas_price = U256{3};
+      params.to = s->make_identity(8).address();
+      params.value = U256{12345};
+      params.data = Bytes{0xde, 0xad, 0x00};
+      const crypto::Identity id = s->make_identity(1);
+      const TxPtr direct = make_signed_tx(params, id, *s);
+      const TxPtr reference = make_tx_ptr(make_signed(params, id, *s));
+      EXPECT_EQ(direct->tx, reference->tx);
+      EXPECT_EQ(direct->hash, reference->hash);
+      EXPECT_EQ(direct->signing_hash, reference->signing_hash);
+      EXPECT_EQ(direct->size, reference->size);
+      EXPECT_EQ(direct->sender, reference->sender);
+      EXPECT_TRUE(verify_signature(direct->tx, *s));
+    }
+  }
+}
+
 TEST(Transaction, EncodeDecodeRoundTrip) {
   const Transaction tx = sample_tx();
   auto decoded = Transaction::decode(tx.encode());

@@ -319,5 +319,91 @@ TEST(Executor, GasRefundForUnusedGas) {
             before - U256{1} - U256{2 * 21'000});
 }
 
+// The CachedTx overloads (the commit path's) against the Transaction
+// overloads (which derive every digest themselves), over each outcome class
+// execute(t) distinguishes, under both signature schemes: identical statuses,
+// error strings, receipts and state roots after every transaction.
+TEST(Executor, CachedTxOverloadMatchesTransactionOverload) {
+  for (const crypto::SignatureScheme* s :
+       {&crypto::SignatureScheme::ed25519(),
+        &crypto::SignatureScheme::fast_sim()}) {
+    SCOPED_TRACE(s->name());
+    const crypto::Identity alice = s->make_identity(1);
+    const crypto::Identity bob = s->make_identity(2);
+    state::StateDB via_tx;
+    state::StateDB via_cached;
+    for (state::StateDB* db : {&via_tx, &via_cached}) {
+      db->add_balance(alice.address(), U256{10'000'000});
+      db->add_balance(bob.address(), U256{10'000'000});
+    }
+    evm::BlockContext block;
+    block.coinbase = s->make_identity(99).address();
+    ExecutionConfig cfg;
+    cfg.scheme = s;
+
+    auto transfer = [&](const crypto::Identity& from, std::uint64_t nonce,
+                        std::uint64_t gas_limit) {
+      TxParams params;
+      params.nonce = nonce;
+      params.to = bob.address();
+      params.value = U256{1000};
+      params.gas_limit = gas_limit;
+      return make_signed(params, from, *s);
+    };
+    auto run = [&](const Transaction& tx, bool expect_ok) {
+      const TxPtr cached = make_tx_ptr(tx);
+      const Status lazy_tx = lazy_validate(tx, via_tx);
+      const Status lazy_cached = lazy_validate(*cached, via_cached);
+      EXPECT_EQ(lazy_tx.is_ok(), lazy_cached.is_ok());
+      EXPECT_EQ(lazy_tx.message(), lazy_cached.message());
+      const Result<Receipt> a = apply_transaction(tx, via_tx, block, cfg);
+      const Result<Receipt> b =
+          apply_transaction(*cached, via_cached, block, cfg);
+      EXPECT_EQ(a.is_ok(), expect_ok) << a.message();
+      EXPECT_EQ(a.is_ok(), b.is_ok());
+      EXPECT_EQ(a.message(), b.message());
+      if (a.is_ok() && b.is_ok()) {
+        EXPECT_EQ(a.value().tx_hash, b.value().tx_hash);
+        EXPECT_EQ(a.value().tx_hash, tx.hash());
+        EXPECT_EQ(a.value().success, b.value().success);
+        EXPECT_EQ(a.value().gas_used, b.value().gas_used);
+        EXPECT_EQ(a.value().contract_address, b.value().contract_address);
+        EXPECT_EQ(a.value().logs.size(), b.value().logs.size());
+      }
+      EXPECT_EQ(via_tx.state_root(), via_cached.state_root());
+      return a;
+    };
+
+    run(transfer(alice, 0, 30'000), true);  // valid transfer
+    Transaction bad_sig = transfer(alice, 1, 30'000);
+    bad_sig.signature[3] ^= 1;
+    EXPECT_NE(run(bad_sig, false).message().find("ErrInvalidSig"),
+              std::string::npos);
+    run(transfer(alice, 7, 30'000), false);                    // wrong nonce
+    run(transfer(alice, 1, 20'000), false);                    // low gas
+    run(transfer(s->make_identity(55), 0, 30'000), false);     // no balance
+
+    TxParams deploy;
+    deploy.kind = TxKind::kDeploy;
+    deploy.nonce = 1;
+    deploy.gas_limit = 5'000'000;
+    deploy.data = evm::ticketing_contract().deploy_code;
+    const Result<Receipt> deployed =
+        run(make_signed(deploy, alice, *s), true);
+    ASSERT_TRUE(deployed.is_ok());
+    ASSERT_TRUE(deployed.value().success);
+
+    TxParams buy;
+    buy.kind = TxKind::kInvoke;
+    buy.nonce = 2;
+    buy.gas_limit = 200'000;
+    buy.to = deployed.value().contract_address;
+    buy.data = evm::encode_call("buy(uint256,uint256)", {U256{1}, U256{1}});
+    EXPECT_TRUE(run(make_signed(buy, alice, *s), true).value().success);
+    buy.nonce = 0;  // Bob buys the same seat: valid, but reverts
+    EXPECT_FALSE(run(make_signed(buy, bob, *s), true).value().success);
+  }
+}
+
 }  // namespace
 }  // namespace srbb::txn

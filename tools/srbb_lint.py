@@ -35,6 +35,11 @@ that have historically caused replica divergence in production chains:
                    Message::kind and convert with sim::msg_cast<T>, a byte
                    compare, where a dynamic_cast chain costs a type_info walk
                    per hop on every delivered message.
+  unsealed-block   make_shared<const ...Block> outside src/txn/block.cpp:
+                   a shared block must come from txn::seal(), which
+                   memoizes its body root and hash() before any node sees
+                   it; a hand-built one makes every receiving node
+                   re-merkleize the body.
 
 Audited sites are suppressed through tools/lint_allowlist.txt; every entry
 carries a justification and MUST still match a real finding (stale entries
@@ -376,6 +381,29 @@ def check_message_dynamic_cast(relpath: str, lines: list[str]) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: unsealed-block
+# ---------------------------------------------------------------------------
+
+UNSEALED_BLOCK = re.compile(
+    r"make_shared\s*<\s*const\s+(?:\w+\s*::\s*)*Block\s*>")
+UNSEALED_BLOCK_HOME = "src/txn/block.cpp"
+
+
+def check_unsealed_block(relpath: str, lines: list[str]) -> list[tuple]:
+    if relpath == UNSEALED_BLOCK_HOME:
+        return []
+    findings = []
+    for lineno, line in enumerate(lines, 1):
+        if UNSEALED_BLOCK.search(line):
+            findings.append(
+                ("unsealed-block", relpath, lineno, line.strip(),
+                 "shared block built without its digests: use "
+                 "txn::seal(block), so receiving nodes reuse the memoized "
+                 "body root and hash instead of recomputing them"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Self-test: one positive and one negative fixture per rule, so a regex edit
 # that silently disables a rule fails the `srbb_lint_selftest` ctest.
 # ---------------------------------------------------------------------------
@@ -448,6 +476,11 @@ SELFTEST_FIXTURES = [
     ("message-dynamic-cast", "src/srbb/x.cpp",
      "// dynamic_cast<const BinMsg*>(message.get()) was the old path\n",
      False),
+    ("unsealed-block", "src/srbb/x.cpp",
+     "return std::make_shared<const txn::Block>(txn::make_block(i));\n",
+     True),
+    ("unsealed-block", "src/srbb/x.cpp",
+     "return txn::seal(txn::make_block(i));\n", False),
 ]
 
 
@@ -464,6 +497,7 @@ def run_file_checks(relpath: str, text: str) -> list[tuple]:
     findings += check_analysis_cache_mutation(relpath, lines)
     findings += check_interproc_bypass(relpath, lines)
     findings += check_message_dynamic_cast(relpath, lines)
+    findings += check_unsealed_block(relpath, lines)
     return findings
 
 
@@ -572,6 +606,7 @@ def main() -> int:
         findings += check_analysis_cache_mutation(relpath, lines)
         findings += check_interproc_bypass(relpath, lines)
         findings += check_message_dynamic_cast(relpath, lines)
+        findings += check_unsealed_block(relpath, lines)
 
     allowlist = ([] if args.no_allowlist
                  else load_allowlist(args.root / "tools/lint_allowlist.txt"))

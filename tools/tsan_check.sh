@@ -15,6 +15,7 @@ cmake --build "$build_dir" -j "$(nproc)" \
       --target test_parallel_executor test_thread_pool test_bounded_queue \
                test_oracle test_chaos test_validation_pipeline \
                test_batch_verify test_rwset test_reliability \
-               test_state_backend test_interproc
+               test_state_backend test_interproc test_block test_superblock \
+               test_echo_differential test_validation test_transaction
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|BoundedQueue|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|Interproc'
+      -R 'ParallelExecutor|ParallelOracle|OverlayState|ThreadPool|BoundedQueue|ChaosParallel|ChaosChurn|ValidationPipeline|BatchVerify|HintedExecutor|RwSetMetrics|Reliability|Membership|QuorumParams|StateBackend|LogBackend|Interproc|Block\.|BlockCodec\.|SealedForgedBody|EchoDifferential|CachedTxOverload|MakeSignedTx'
