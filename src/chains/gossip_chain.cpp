@@ -1,5 +1,8 @@
 #include "chains/gossip_chain.hpp"
 
+#include <algorithm>
+#include <optional>
+
 #include "txn/validation.hpp"
 
 namespace srbb::chains {
@@ -51,7 +54,7 @@ void GossipChainNode::on_client_tx(sim::NodeId from, const txn::TxPtr& tx) {
   post_work(config_.preset.costs.eager_validation, [this, from, tx] {
     if (crashed_) return;
     ++metrics_.eager_validations;
-    if (committed_txs_.contains(tx->hash) || pool_.contains(tx->hash)) return;
+    if (committed(tx->hash) || pool_.contains(tx->hash)) return;
     if (!pipeline_.validate_one(*tx, oracle_->db())) {
       ++metrics_.eager_failures;
       return;
@@ -68,7 +71,7 @@ void GossipChainNode::on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx) {
   ++metrics_.gossip_txs_received;
   post_work(config_.preset.costs.gossip_dedup, [this, from, tx] {
     if (crashed_) return;
-    if (seen_txs_.contains(tx->hash) || committed_txs_.contains(tx->hash) ||
+    if (seen_txs_.contains(tx->hash) || committed(tx->hash) ||
         pool_.contains(tx->hash)) {
       return;
     }
@@ -117,7 +120,7 @@ void GossipChainNode::on_slot_tick() {
   while (next_commit_slot_ + grace <= slot &&
          !committable_.contains(next_commit_slot_)) {
     ++metrics_.slots_skipped;
-    ++next_commit_slot_;
+    skipped_slots_.push_back(next_commit_slot_++);
   }
   try_commit();
   sim().schedule_after(config_.preset.block_interval, [this] { on_slot_tick(); });
@@ -203,7 +206,6 @@ void GossipChainNode::commit_block(const txn::BlockPtr& block) {
   for (const node::TxOutcome& outcome : result.blocks[0].outcomes) {
     if (outcome.valid) {
       ++metrics_.txs_committed_valid;
-      committed_txs_.insert(outcome.hash);
       committed.push_back(outcome.hash);
       const auto origin = client_origins_.find(outcome.hash);
       if (origin != client_origins_.end()) {
@@ -218,9 +220,17 @@ void GossipChainNode::commit_block(const txn::BlockPtr& block) {
     }
   }
   pool_.remove_committed(committed);
+  commit_frontier_ = block->header.index + 1;
   ++metrics_.blocks_committed;
   SRBB_TRACE(trace_, now(), 0, config_.self, "commit", "block.commit", "slot",
              block->header.index, "valid", result.total_valid);
+}
+
+bool GossipChainNode::committed(const Hash32& hash) const {
+  const std::optional<std::uint64_t> slot = oracle_->committed_index(hash);
+  return slot.has_value() && *slot < commit_frontier_ &&
+         !std::binary_search(skipped_slots_.begin(), skipped_slots_.end(),
+                             *slot);
 }
 
 void GossipChainNode::maybe_crash() {

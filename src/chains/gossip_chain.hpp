@@ -14,6 +14,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "chains/presets.hpp"
 #include "pool/txpool.hpp"
@@ -82,6 +83,9 @@ class GossipChainNode : public sim::SimNode {
   void propose(std::uint64_t slot);
   void try_commit();
   void commit_block(const txn::BlockPtr& block);
+  /// Alg. 1 l.6 against this node's own chain: `hash` committed valid in a
+  /// block this node has committed (answered by the oracle's index).
+  bool committed(const Hash32& hash) const;
   void maybe_crash();
 
   GossipChainConfig config_;
@@ -94,12 +98,18 @@ class GossipChainNode : public sim::SimNode {
   txn::ValidationPipeline pipeline_;
   std::unordered_set<Hash32, Hash32Hasher> seen_txs_;
   std::unordered_set<Hash32, Hash32Hasher> seen_blocks_;
-  std::unordered_set<Hash32, Hash32Hasher> committed_txs_;
   std::unordered_map<Hash32, sim::NodeId, Hash32Hasher> client_origins_;
 
   std::map<std::uint64_t, txn::BlockPtr> committable_;  // slot -> block
   std::uint64_t slot_counter_ = 0;
   std::uint64_t next_commit_slot_ = 0;
+  /// One past the slot of the last block whose commit_block has run.
+  /// next_commit_slot_ runs ahead of it by the commit's CPU delay.
+  std::uint64_t commit_frontier_ = 0;
+  /// Slots this node gave up on, in increasing order. Another node may still
+  /// have committed a block there, so its transactions are not on this
+  /// node's chain.
+  std::vector<std::uint64_t> skipped_slots_;
   bool started_ = false;
   bool crashed_ = false;
 

@@ -39,6 +39,7 @@ void ExecutionOracle::reset() {
   db_ = state::StateDB{};
   genesis_.apply(db_);
   results_.clear();
+  committed_at_.clear();
 }
 
 const IndexExecResult& ExecutionOracle::execute(
@@ -97,6 +98,11 @@ const IndexExecResult& ExecutionOracle::execute(
   }
   db_.commit();
   result.state_root = db_.state_root();
+  for (const BlockExecResult& block_result : result.blocks) {
+    for (const TxOutcome& outcome : block_result.outcomes) {
+      if (outcome.valid) committed_at_.try_emplace(outcome.hash, index);
+    }
+  }
   SRBB_TRACE(ctx.trace, ctx.at, 0, ctx.node, "commit", "superblock.exec",
              "index", index, "valid", result.total_valid);
   return results_.emplace(index, std::move(result)).first->second;

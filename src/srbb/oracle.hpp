@@ -9,12 +9,17 @@
 //  - Shared: validators share one oracle; the first to commit an index
 //    executes it, the rest reuse the memoized result (identical by
 //    determinism) while still being charged the modelled CPU time. This is
-//    what makes 200-validator benchmark runs laptop-feasible.
+//    what makes 200-validator benchmark runs laptop-feasible. A shared
+//    oracle also owns the run's one commit-membership index (Alg. 1 l.6,
+//    "t not in blockchain"): every replica asks committed_below() with its
+//    own commit height instead of keeping a private set of committed hashes.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "evm/types.hpp"
@@ -75,6 +80,21 @@ class ExecutionOracle {
                                  const ExecContext& ctx);
 
   bool executed(std::uint64_t index) const { return results_.contains(index); }
+
+  /// The index at which `hash` was committed as a valid transaction, if an
+  /// executed index committed it.
+  std::optional<std::uint64_t> committed_index(const Hash32& hash) const {
+    const auto it = committed_at_.find(hash);
+    if (it == committed_at_.end()) return std::nullopt;
+    return it->second;
+  }
+  /// True when `hash` was committed as a valid transaction at an index below
+  /// `frontier`. A replica passing its own commit height gets exactly the
+  /// membership test of a private set filled at each of its commits.
+  bool committed_below(const Hash32& hash, std::uint64_t frontier) const {
+    const std::optional<std::uint64_t> index = committed_index(hash);
+    return index.has_value() && *index < frontier;
+  }
   const state::StateDB& db() const { return db_; }
   state::StateDB& mutable_db() { return db_; }
 
@@ -83,7 +103,7 @@ class ExecutionOracle {
   /// a shared oracle would destroy the state of every co-owning replica.
   void reset();
 
-  /// Execution knobs (parallelism, signature re-checking). Changing
+  /// Execution knobs (parallelism and its worker pool). Changing
   /// `workers` after the first parallel execution has no effect: the worker
   /// pool is created lazily on first use and then kept.
   txn::ExecutionConfig& exec_config() { return exec_config_; }
@@ -96,6 +116,10 @@ class ExecutionOracle {
   txn::ExecutionConfig exec_config_;
   std::unique_ptr<txn::ParallelExecutor> parallel_;
   std::map<std::uint64_t, IndexExecResult> results_;
+  /// Valid transaction hash -> index it committed at. Probe-only (never
+  /// iterated). A transaction is valid at most once (its nonce advances), so
+  /// each hash keeps the first index that committed it.
+  std::unordered_map<Hash32, std::uint64_t, Hash32Hasher> committed_at_;
 };
 
 }  // namespace srbb::node

@@ -206,7 +206,10 @@ void ValidatorNode::on_client_tx(sim::NodeId from, const txn::TxPtr& tx) {
   // is the congestion the paper measures).
   post_work(config_.costs.eager_validation, guarded([this, from, tx] {
     ++metrics_.eager_validations;
-    if (committed_txs_.contains(tx->hash) || pool_.contains(tx->hash)) return;
+    if (oracle_->committed_below(tx->hash, next_commit_) ||
+        pool_.contains(tx->hash)) {
+      return;
+    }
     const Status valid = pipeline_.validate_one(*tx, oracle_->db());
     // Span covering the validation CPU charge: post_work delivered us at the
     // completion instant, so the span starts one cost earlier.
@@ -233,7 +236,8 @@ void ValidatorNode::on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx) {
   // makes duplicated/reordered gossip (fault injection) harmless: a second
   // copy costs one seen-set lookup, never a second validation or pool slot.
   post_work(config_.costs.gossip_dedup, guarded([this, from, tx] {
-    if (seen_gossip_.contains(tx->hash) || committed_txs_.contains(tx->hash) ||
+    if (seen_gossip_.contains(tx->hash) ||
+        oracle_->committed_below(tx->hash, next_commit_) ||
         pool_.contains(tx->hash)) {
       ++metrics_.gossip_dups_suppressed;
       return;
@@ -479,7 +483,6 @@ void ValidatorNode::commit_index(std::uint64_t index,
       const TxOutcome& outcome = block_result.outcomes[t];
       if (outcome.valid) {
         ++metrics_.txs_committed_valid;
-        committed_txs_.insert(outcome.hash);
         committed_hashes.push_back(outcome.hash);
         const auto origin = client_origins_.find(outcome.hash);
         if (origin != client_origins_.end()) {
@@ -630,6 +633,9 @@ void ValidatorNode::recycle_undecided(std::uint64_t index) {
   // between blocks keeps cross-block duplicates on the pool_.contains path.
   const auto it = instances_.find(index);
   if (it == instances_.end()) return;
+  // Runs inside commit_index before ++next_commit_, so `index` itself counts
+  // as committed.
+  const std::uint64_t frontier = index + 1;
   std::vector<txn::TxPtr> candidates;
   std::vector<txn::TxPtr> admit;
   std::unordered_set<Hash32, Hash32Hasher> in_batch;
@@ -638,7 +644,8 @@ void ValidatorNode::recycle_undecided(std::uint64_t index) {
     admit.clear();
     in_batch.clear();
     for (const txn::TxPtr& tx : block->txs) {
-      if (committed_txs_.contains(tx->hash) || pool_.contains(tx->hash) ||
+      if (oracle_->committed_below(tx->hash, frontier) ||
+          pool_.contains(tx->hash) ||
           !in_batch.insert(tx->hash).second) {
         continue;
       }
@@ -679,13 +686,14 @@ void ValidatorNode::crash() {
 
   // Volatile state is gone: pool, dedup sets, chain, consensus instances,
   // decided-block store, execution state. Destroying the instances also
-  // orphans their pending timers via the alive_ sentinels.
+  // orphans their pending timers via the alive_ sentinels. Resetting
+  // next_commit_ to 0 also empties the committed-transaction test
+  // (oracle_->committed_below asks with this node's own height).
   pool_ = pool::TxPool(config_.pool);
   register_obs();  // the fresh pool needs its sink/counters re-attached
   round_began_at_.clear();
   decided_at_.clear();
   seen_gossip_.clear();
-  committed_txs_.clear();
   client_origins_.clear();
   instances_.clear();
   pending_superblocks_.clear();

@@ -236,7 +236,6 @@ class ValidatorNode : public sim::SimNode {
   /// recycle_undecided validates a whole undecided block with validate().
   txn::ValidationPipeline pipeline_;
   std::unordered_set<Hash32, Hash32Hasher> seen_gossip_;
-  std::unordered_set<Hash32, Hash32Hasher> committed_txs_;
   std::unordered_map<Hash32, sim::NodeId, Hash32Hasher> client_origins_;
 
   std::map<std::uint64_t, std::unique_ptr<consensus::SuperblockInstance>>

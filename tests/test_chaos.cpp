@@ -22,6 +22,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/sha256.hpp"
@@ -70,6 +71,9 @@ struct ChaosOptions {
   std::uint32_t f = 1;
   bool tvpr = true;
   bool parallel_execution = false;  // ChaosParallel.* (TSan subset) sets this
+  /// One ExecutionOracle for every validator (the benchmark configuration)
+  /// instead of a private, crash-reset oracle per replica.
+  bool shared_oracle = false;
   /// Adaptive membership (DESIGN.md §13): reliability scoring + the bounded
   /// disabled list. ChaosChurn.* scenarios set this.
   bool adaptive = false;
@@ -117,6 +121,11 @@ struct ChaosNet {
     rpm_contract = std::make_shared<rpm::RewardPenaltyMechanism>(rpm_config);
 
     evm::BlockContext block_template;
+    std::shared_ptr<ExecutionOracle> shared;
+    if (opts.shared_oracle) {
+      shared =
+          std::make_shared<ExecutionOracle>(genesis, block_template, scheme());
+    }
     for (std::uint32_t rank = 0; rank < opts.n; ++rank) {
       ValidatorConfig config;
       config.n = opts.n;
@@ -128,7 +137,8 @@ struct ChaosNet {
       config.min_block_interval = millis(100);
       config.proposal_timeout = millis(300);
       config.rebroadcast_interval = opts.rebroadcast_interval;
-      config.oracle_private = true;  // replicated execution; reset on crash
+      // Replicated execution, reset on crash, unless the oracle is shared.
+      config.oracle_private = !opts.shared_oracle;
       // The default sync backoff (250ms << 4 = 4s cap) is sized for WAN
       // RTTs; at the sim's millisecond RTTs an unlucky streak of dropped
       // responses would push the next retry past the liveness probe window.
@@ -136,8 +146,10 @@ struct ChaosNet {
       config.sync_backoff_cap = 2;
       config.adaptive_membership = opts.adaptive;
       config.trace = opts.trace;
-      auto oracle = std::make_shared<ExecutionOracle>(genesis, block_template,
-                                                      scheme());
+      auto oracle = opts.shared_oracle
+                        ? shared
+                        : std::make_shared<ExecutionOracle>(
+                              genesis, block_template, scheme());
       if (opts.parallel_execution) {
         oracle->exec_config().parallel = true;
         oracle->exec_config().workers = 2;
@@ -427,8 +439,10 @@ TEST(FaultInjectorUnit, RandomizedPlanIsAFunctionOfItsSeed) {
 // Whole-network chaos scenarios
 // ---------------------------------------------------------------------------
 
-Hash32 crash_recovery_run(std::uint64_t seed, std::uint64_t* synced_out) {
+Hash32 crash_recovery_run(std::uint64_t seed, std::uint64_t* synced_out,
+                          bool shared_oracle = false) {
   ChaosOptions opts;
+  opts.shared_oracle = shared_oracle;
   opts.plan.seed = seed;
   opts.plan.default_link.drop = 0.05;
   opts.plan.default_link.duplicate = 0.05;
@@ -471,6 +485,22 @@ TEST(ChaosCrashRecovery, CatchesUpAcrossSeedsReproducibly) {
     const Hash32 first = crash_recovery_run(seed, &synced_first);
     const Hash32 second = crash_recovery_run(seed, nullptr);
     ASSERT_EQ(first, second) << "run is not a pure function of the seed";
+  }
+}
+
+// The benchmark configuration: every validator shares one oracle, so a
+// restarted validator replays memoized results and asks the oracle's
+// commit-membership index with its own height. Fingerprints pinned from runs
+// with a private set of committed hashes per validator.
+TEST(ChaosCrashRecovery, SharedOracleReproducesPinnedFingerprints) {
+  const std::array<std::pair<std::uint64_t, const char*>, 3> pinned = {{
+      {1, "c22242b468fb2f85b4327aca57d55570fa98fb250c691884bda78b1032da618e"},
+      {2, "badc66e360932fc2294e6816e65214771805645ac736389a3b75bf7c886798bf"},
+      {3, "c9b4c782174c733d292dad9aab03d5cbad852091f68a07ea3dbaca19181993fc"},
+  }};
+  for (const auto& [seed, hex] : pinned) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    EXPECT_EQ(crash_recovery_run(seed, nullptr, true).hex(), hex);
   }
 }
 
@@ -592,6 +622,37 @@ TEST(ChaosGossip, DuplicatedReorderedGossipNeverDoubleCharges) {
   }
   EXPECT_GT(dups_suppressed, 0u);
   net.expect_no_divergence();
+}
+
+// A slow proposer's blocks miss the cut and decide 0, so every validator
+// recycles them (Alg. 1 lines 27-31) in the commit of the same index. In
+// gossip mode those blocks repeat transactions that the decided blocks of
+// that index just committed: recycling must see them as already on the
+// chain (the commit height counts the index being committed) instead of
+// re-validating them into nonce failures.
+TEST(ChaosGossip, SlowProposerRecyclingSkipsTransactionsJustCommitted) {
+  std::uint64_t recycled = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ChaosOptions opts;
+    opts.tvpr = false;
+    opts.plan.seed = seed;
+    opts.tx_count = 48;
+    sim::LinkFaults slow;
+    slow.reorder = 1.0;
+    slow.reorder_delay_max = millis(350);
+    for (sim::NodeId to = 0; to < 3; ++to) opts.plan.links[{3, to}] = slow;
+    ChaosNet net{opts};
+    net.run_until(seconds(8));
+    for (const auto& validator : net.validators) {
+      const ValidatorNode::Metrics& m = validator->metrics();
+      EXPECT_EQ(m.txs_committed_valid, opts.tx_count);
+      EXPECT_EQ(m.eager_failures, 0u);
+      recycled += m.txs_recycled;
+    }
+    net.expect_no_divergence();
+  }
+  EXPECT_GT(recycled, 0u);  // undecided blocks were recycled
 }
 
 TEST(ChaosDeterminism, IdenticalSeedsProduceIdenticalRuns) {

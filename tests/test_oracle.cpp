@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "evm/contracts.hpp"
 #include "oracle_state_root.hpp"
 
@@ -222,6 +224,66 @@ TEST(Oracle, PublishedRootsMatchReferenceDigest) {
     }
   }
   EXPECT_EQ(oracle.db().storage(counter, Hash32{}), U256{4});
+}
+
+// Differential check of the commit-membership index against the per-replica
+// set it replaced: a replica at commit height F held exactly the valid
+// outcome hashes of indices 0..F-1. The inputs carry a duplicate inside one
+// superblock, a transaction resent at a later index, and an unfunded sender.
+TEST(Oracle, CommittedBelowMatchesPerFrontierReference) {
+  constexpr std::uint64_t kIndices = 4;
+  const txn::TxPtr resent = transfer(3, 0);
+  std::vector<std::vector<txn::BlockPtr>> superblocks;
+  for (std::uint64_t index = 0; index < kIndices; ++index) {
+    const txn::TxPtr shared = transfer(0, index);
+    std::vector<txn::TxPtr> left = {shared, transfer(1, index),
+                                    transfer(700 + index, 0)};  // unfunded
+    std::vector<txn::TxPtr> right = {shared, transfer(2, index)};
+    if (index == 0 || index == 2) right.push_back(resent);
+    superblocks.push_back({block_of(index, 0, std::move(left)),
+                           block_of(index, 1, std::move(right))});
+  }
+  std::vector<Hash32> hashes;
+  for (const auto& blocks : superblocks) {
+    for (const txn::BlockPtr& block : blocks) {
+      for (const txn::TxPtr& tx : block->txs) hashes.push_back(tx->hash);
+    }
+  }
+
+  ExecutionOracle oracle{rich_genesis(), {}, scheme()};
+  for (int run = 0; run < 2; ++run) {
+    if (run == 1) {
+      oracle.reset();
+      for (const Hash32& hash : hashes) {
+        EXPECT_FALSE(oracle.committed_below(hash, kIndices + 1));
+      }
+    }
+    // references[F] is the set a replica at commit height F held.
+    std::vector<std::set<Hash32>> references(1);
+    for (std::uint64_t index = 0; index < kIndices; ++index) {
+      const IndexExecResult& result =
+          oracle.execute(index, superblocks[index]);
+      std::set<Hash32> next = references.back();
+      for (const BlockExecResult& block : result.blocks) {
+        for (const TxOutcome& outcome : block.outcomes) {
+          if (outcome.valid) next.insert(outcome.hash);
+        }
+      }
+      references.push_back(std::move(next));
+    }
+    references.push_back(references.back());  // frontier K+1: nothing new
+    // Three transfers per index plus the first send of `resent`; the
+    // unfunded sender, the in-superblock duplicate and the resend are all
+    // discarded.
+    EXPECT_EQ(references[kIndices].size(), 3 * kIndices + 1);
+    for (std::uint64_t frontier = 0; frontier <= kIndices + 1; ++frontier) {
+      for (const Hash32& hash : hashes) {
+        EXPECT_EQ(oracle.committed_below(hash, frontier),
+                  references[frontier].contains(hash))
+            << "run " << run << " frontier " << frontier;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -12,7 +12,11 @@
 #      blind Block-STM on the hot-slot regime (the rw-set hints claim);
 #   5. on the two-contract router regime the composed interprocedural hints
 #      schedule with zero aborts and zero sequential fallbacks while blind
-#      speculation aborts (the summary-composition claim).
+#      speculation aborts (the summary-composition claim);
+#   6. memory grows with the run, not with n x transactions: srbb-sim's peak
+#      RSS on SRBB FIFA at scale 0.1 (n = 20) is under 2.3x that at scale
+#      0.05 (n = 10). Per-replica copies of run-wide state, such as a
+#      committed-transaction set per validator, push it to 2.6x.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -23,7 +27,7 @@ build_dir="${1:-$repo_root/build-perf}"
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j "$(nproc)" \
       --target bench_micro_crypto bench_micro_pool bench_micro_codec \
-               bench_micro_parallel_exec
+               bench_micro_parallel_exec srbb-sim
 
 out="$build_dir/perf_smoke"
 mkdir -p "$out"
@@ -39,6 +43,14 @@ mkdir -p "$out"
 "$build_dir/bench/bench_micro_parallel_exec" --benchmark_min_time=0.05 \
     --benchmark_filter='BM_(ParallelExec|HintedExec)/workload:(2|8)/workers:4' \
     --benchmark_format=json > "$out/exec.json"
+# Peak RSS (KiB) of one srbb-sim run per scale, from the child's rusage.
+for scale in 0.05 0.1; do
+  python3 -c 'import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
+      "$build_dir/tools/srbb-sim" --system srbb --workload fifa \
+      --scale "$scale" --json > "$out/rss_$scale.txt"
+done
 
 python3 - "$out" <<'EOF'
 import json
@@ -113,6 +125,18 @@ if not (hinted_r == 0 and hinted_r_fb == 0 and blind_r > 0):
     failures.append("router-hinted")
 else:
     print("  router: hinted aborts/fallbacks == 0 < blind aborts [ok]")
+
+# 6. Memory scaling, SRBB FIFA at n = 10 -> n = 20. Measured 1.9 (54 -> 103
+#    MB) with one committed-transaction index per run; 2.6 (69 -> 178 MB)
+#    with one set per validator.
+def rss_kib(scale):
+    with open(f"{out}/rss_{scale}.txt") as fh:
+        return int(fh.read())
+
+print(f"  srbb-sim fifa peak RSS: scale 0.05 {rss_kib('0.05') / 1024:.1f} MB, "
+      f"scale 0.1 {rss_kib('0.1') / 1024:.1f} MB")
+check("fifa-rss-scale0.1 / fifa-rss-scale0.05",
+      rss_kib("0.1") / rss_kib("0.05"), 2.3)
 
 if failures:
     print(f"perf_smoke: FAILED ({', '.join(failures)})")
