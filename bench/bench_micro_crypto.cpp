@@ -10,8 +10,11 @@
 #include "crypto/keccak.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_compress.hpp"
 #include "crypto/sha512.hpp"
 #include "crypto/signature.hpp"
+#include "oracle_keccak.hpp"
+#include "oracle_sha256.hpp"
 
 namespace {
 
@@ -24,14 +27,26 @@ Bytes make_payload(std::size_t n) {
   return out;
 }
 
+// The dispatched kernel; the "shani" counter says which one ran (1 = SHA-NI).
 void BM_Sha256(benchmark::State& state) {
   const Bytes payload = make_payload(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha256::hash(payload));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.counters["shani"] = detail::sha256_shani_available() ? 1 : 0;
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(256)->Arg(4096);
+
+// The portable rounds alone (tests/oracle_sha256.hpp): BM_Sha256's baseline.
+void BM_Sha256Portable(benchmark::State& state) {
+  const Bytes payload = make_payload(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle::sha256_portable(payload));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(256)->Arg(4096);
 
 void BM_Sha512(benchmark::State& state) {
   const Bytes payload = make_payload(static_cast<std::size_t>(state.range(0)));
@@ -50,6 +65,16 @@ void BM_Keccak256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Keccak256)->Arg(64)->Arg(256)->Arg(4096);
+
+// The table-driven permutation Keccak256 replaced (tests/oracle_keccak.hpp).
+void BM_Keccak256Oracle(benchmark::State& state) {
+  const Bytes payload = make_payload(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle::keccak256(payload));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Keccak256Oracle)->Arg(64)->Arg(256)->Arg(4096);
 
 void BM_Ed25519_Sign(benchmark::State& state) {
   const auto kp = ed25519_keypair_from_id(1);

@@ -1,5 +1,6 @@
 #include "crypto/keccak.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace srbb::crypto {
@@ -18,53 +19,110 @@ constexpr std::uint64_t kRoundConstants[24] = {
     0x000000000000800aull, 0x800000008000000aull, 0x8000000080008081ull,
     0x8000000000008080ull, 0x0000000080000001ull, 0x8000000080008008ull};
 
-constexpr int kRotations[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55, 20, 3,  10, 43,
-                                25, 39, 41, 45, 15, 21, 8,  18, 2,  61, 56, 14};
-
-// Destination lane for source lane i = x + 5y under pi: (x, y) -> (y, 2x+3y).
-constexpr int kPiLane[25] = {0,  10, 20, 5,  15, 16, 1,  11, 21, 6,  7,  17, 2,
-                             12, 22, 23, 8,  18, 3,  13, 14, 24, 9,  19, 4};
-
-std::uint64_t rotl(std::uint64_t x, int n) {
-  return n == 0 ? x : (x << n) | (x >> (64 - n));
-}
-
-void keccak_f(std::uint64_t a[25]) {
-  for (int round = 0; round < 24; ++round) {
-    // Theta
-    std::uint64_t c[5];
-    for (int x = 0; x < 5; ++x) {
-      c[x] = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
-    }
-    for (int x = 0; x < 5; ++x) {
-      const std::uint64_t d = c[(x + 4) % 5] ^ rotl(c[(x + 1) % 5], 1);
-      for (int y = 0; y < 25; y += 5) a[x + y] ^= d;
-    }
-    // Rho + Pi
-    std::uint64_t b[25];
-    for (int i = 0; i < 25; ++i) b[kPiLane[i]] = rotl(a[i], kRotations[i]);
-    // Chi
-    for (int y = 0; y < 25; y += 5) {
-      for (int x = 0; x < 5; ++x) {
-        a[y + x] = b[y + x] ^ (~b[y + (x + 1) % 5] & b[y + (x + 2) % 5]);
-      }
-    }
-    // Iota
-    a[0] ^= kRoundConstants[round];
-  }
-}
-
 }  // namespace
+
+namespace detail {
+
+// The 25 lanes live in locals (a<x + 5y>) for all 24 rounds, and every rho
+// rotation is a constant, so the permutation runs from registers instead of
+// through index tables.
+void keccak_f1600(std::uint64_t state[25]) {
+  std::uint64_t a00 = state[0], a01 = state[1], a02 = state[2],
+                a03 = state[3], a04 = state[4];
+  std::uint64_t a05 = state[5], a06 = state[6], a07 = state[7],
+                a08 = state[8], a09 = state[9];
+  std::uint64_t a10 = state[10], a11 = state[11], a12 = state[12],
+                a13 = state[13], a14 = state[14];
+  std::uint64_t a15 = state[15], a16 = state[16], a17 = state[17],
+                a18 = state[18], a19 = state[19];
+  std::uint64_t a20 = state[20], a21 = state[21], a22 = state[22],
+                a23 = state[23], a24 = state[24];
+  for (const std::uint64_t round_constant : kRoundConstants) {
+    // Theta
+    const std::uint64_t c0 = a00 ^ a05 ^ a10 ^ a15 ^ a20;
+    const std::uint64_t c1 = a01 ^ a06 ^ a11 ^ a16 ^ a21;
+    const std::uint64_t c2 = a02 ^ a07 ^ a12 ^ a17 ^ a22;
+    const std::uint64_t c3 = a03 ^ a08 ^ a13 ^ a18 ^ a23;
+    const std::uint64_t c4 = a04 ^ a09 ^ a14 ^ a19 ^ a24;
+    const std::uint64_t d0 = c4 ^ std::rotl(c1, 1);
+    const std::uint64_t d1 = c0 ^ std::rotl(c2, 1);
+    const std::uint64_t d2 = c1 ^ std::rotl(c3, 1);
+    const std::uint64_t d3 = c2 ^ std::rotl(c4, 1);
+    const std::uint64_t d4 = c3 ^ std::rotl(c0, 1);
+    // Rho + Pi: lane (x, y) moves to (y, 2x + 3y), rotated by its offset.
+    const std::uint64_t b00 = a00 ^ d0;
+    const std::uint64_t b01 = std::rotl(a06 ^ d1, 44);
+    const std::uint64_t b02 = std::rotl(a12 ^ d2, 43);
+    const std::uint64_t b03 = std::rotl(a18 ^ d3, 21);
+    const std::uint64_t b04 = std::rotl(a24 ^ d4, 14);
+    const std::uint64_t b05 = std::rotl(a03 ^ d3, 28);
+    const std::uint64_t b06 = std::rotl(a09 ^ d4, 20);
+    const std::uint64_t b07 = std::rotl(a10 ^ d0, 3);
+    const std::uint64_t b08 = std::rotl(a16 ^ d1, 45);
+    const std::uint64_t b09 = std::rotl(a22 ^ d2, 61);
+    const std::uint64_t b10 = std::rotl(a01 ^ d1, 1);
+    const std::uint64_t b11 = std::rotl(a07 ^ d2, 6);
+    const std::uint64_t b12 = std::rotl(a13 ^ d3, 25);
+    const std::uint64_t b13 = std::rotl(a19 ^ d4, 8);
+    const std::uint64_t b14 = std::rotl(a20 ^ d0, 18);
+    const std::uint64_t b15 = std::rotl(a04 ^ d4, 27);
+    const std::uint64_t b16 = std::rotl(a05 ^ d0, 36);
+    const std::uint64_t b17 = std::rotl(a11 ^ d1, 10);
+    const std::uint64_t b18 = std::rotl(a17 ^ d2, 15);
+    const std::uint64_t b19 = std::rotl(a23 ^ d3, 56);
+    const std::uint64_t b20 = std::rotl(a02 ^ d2, 62);
+    const std::uint64_t b21 = std::rotl(a08 ^ d3, 55);
+    const std::uint64_t b22 = std::rotl(a14 ^ d4, 39);
+    const std::uint64_t b23 = std::rotl(a15 ^ d0, 41);
+    const std::uint64_t b24 = std::rotl(a21 ^ d1, 2);
+    // Chi + Iota
+    a00 = b00 ^ (~b01 & b02) ^ round_constant;
+    a01 = b01 ^ (~b02 & b03);
+    a02 = b02 ^ (~b03 & b04);
+    a03 = b03 ^ (~b04 & b00);
+    a04 = b04 ^ (~b00 & b01);
+    a05 = b05 ^ (~b06 & b07);
+    a06 = b06 ^ (~b07 & b08);
+    a07 = b07 ^ (~b08 & b09);
+    a08 = b08 ^ (~b09 & b05);
+    a09 = b09 ^ (~b05 & b06);
+    a10 = b10 ^ (~b11 & b12);
+    a11 = b11 ^ (~b12 & b13);
+    a12 = b12 ^ (~b13 & b14);
+    a13 = b13 ^ (~b14 & b10);
+    a14 = b14 ^ (~b10 & b11);
+    a15 = b15 ^ (~b16 & b17);
+    a16 = b16 ^ (~b17 & b18);
+    a17 = b17 ^ (~b18 & b19);
+    a18 = b18 ^ (~b19 & b15);
+    a19 = b19 ^ (~b15 & b16);
+    a20 = b20 ^ (~b21 & b22);
+    a21 = b21 ^ (~b22 & b23);
+    a22 = b22 ^ (~b23 & b24);
+    a23 = b23 ^ (~b24 & b20);
+    a24 = b24 ^ (~b20 & b21);
+  }
+  state[0] = a00; state[1] = a01; state[2] = a02;
+  state[3] = a03; state[4] = a04;
+  state[5] = a05; state[6] = a06; state[7] = a07;
+  state[8] = a08; state[9] = a09;
+  state[10] = a10; state[11] = a11; state[12] = a12;
+  state[13] = a13; state[14] = a14;
+  state[15] = a15; state[16] = a16; state[17] = a17;
+  state[18] = a18; state[19] = a19;
+  state[20] = a20; state[21] = a21; state[22] = a22;
+  state[23] = a23; state[24] = a24;
+}
+
+}  // namespace detail
 
 void Keccak256::absorb_block() {
   for (int i = 0; i < kRate / 8; ++i) {
     std::uint64_t lane = 0;
-    for (int j = 0; j < 8; ++j) {
-      lane |= static_cast<std::uint64_t>(buffer_[8 * i + j]) << (8 * j);
-    }
+    std::memcpy(&lane, buffer_ + 8 * i, 8);  // little-endian host assumed (x86/ARM)
     state_[i] ^= lane;
   }
-  keccak_f(state_);
+  detail::keccak_f1600(state_);
 }
 
 void Keccak256::update(BytesView data) {

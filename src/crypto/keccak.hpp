@@ -24,6 +24,12 @@ class Keccak256 {
   std::size_t buffered_ = 0;
 };
 
+namespace detail {
+/// The Keccak-f[1600] permutation Keccak256 runs, exposed for the
+/// differential test against the reference permutation.
+void keccak_f1600(std::uint64_t state[25]);
+}  // namespace detail
+
 /// Ethereum-style address derivation: low 20 bytes of Keccak-256(pubkey).
 Address address_from_pubkey(BytesView pubkey);
 

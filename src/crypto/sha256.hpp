@@ -16,8 +16,6 @@ class Sha256 {
   static Hash32 hash(BytesView data);
 
  private:
-  void process_block(const std::uint8_t block[64]);
-
   std::uint32_t state_[8];
   std::uint8_t buffer_[64];
   std::size_t buffered_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "common/invariant.hpp"
 #include "crypto/keccak.hpp"
@@ -368,25 +369,28 @@ Hash32 StateDB::state_root() const {
 
   crypto::Sha256 root;
   Account scratch;
+  std::uint8_t word[32];
+  std::vector<std::pair<Hash32, const U256*>> slots;
   for (const Address& addr : addresses) {
     const Account* resolved = resolve(addr, scratch);
     SRBB_CHECK(resolved != nullptr);
     const Account& acc = *resolved;
     root.update(addr.view());
-    std::uint8_t nonce_be[8];
-    put_be64(nonce_be, acc.nonce);
-    root.update(BytesView{nonce_be, 8});
-    root.update(acc.balance.be_bytes());
+    put_be64(word, acc.nonce);
+    root.update(BytesView{word, 8});
+    acc.balance.to_be(word);
+    root.update(BytesView{word, 32});
     root.update(acc.code.empty() ? empty_code_keccak().view()
                                  : acc.code_keccak.view());
 
-    std::vector<Hash32> keys;
-    keys.reserve(acc.storage.size());
-    for (const auto& [key, value] : acc.storage) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const Hash32& key : keys) {
+    slots.clear();
+    for (const auto& [key, value] : acc.storage) slots.emplace_back(key, &value);
+    std::sort(slots.begin(), slots.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [key, value] : slots) {
       root.update(key.view());
-      root.update(acc.storage.at(key).be_bytes());
+      value->to_be(word);
+      root.update(BytesView{word, 32});
     }
   }
   root_cache_ = root.finish();

@@ -40,6 +40,12 @@ that have historically caused replica divergence in production chains:
                    memoizes its body root and hash() before any node sees
                    it; a hand-built one makes every receiving node
                    re-merkleize the body.
+  host-dispatch    __builtin_cpu_supports/__builtin_cpu_init, cpuid or
+                   __attribute__((target(...))) outside
+                   src/crypto/sha256.cpp: a CPU-dependent code path must
+                   sit in the one kernel file whose kernels have a
+                   differential test, or two replicas on different hosts
+                   could run code that no test compared.
 
 Audited sites are suppressed through tools/lint_allowlist.txt; every entry
 carries a justification and MUST still match a real finding (stale entries
@@ -404,6 +410,30 @@ def check_unsealed_block(relpath: str, lines: list[str]) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: host-dispatch
+# ---------------------------------------------------------------------------
+
+HOST_DISPATCH = re.compile(
+    r"\b__builtin_cpu_(?:supports|init)\b|\bcpuid\b"
+    r"|__attribute__\s*\(\s*\(\s*target\s*\(")
+HOST_DISPATCH_HOME = "src/crypto/sha256.cpp"
+
+
+def check_host_dispatch(relpath: str, lines: list[str]) -> list[tuple]:
+    if relpath == HOST_DISPATCH_HOME:
+        return []
+    findings = []
+    for lineno, line in enumerate(lines, 1):
+        if HOST_DISPATCH.search(line):
+            findings.append(
+                ("host-dispatch", relpath, lineno, line.strip(),
+                 "CPU-dependent code path outside src/crypto/sha256.cpp: "
+                 "keep host dispatch in the kernel file whose kernels are "
+                 "differentially tested (tests/test_hash_differential.cpp)"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Self-test: one positive and one negative fixture per rule, so a regex edit
 # that silently disables a rule fails the `srbb_lint_selftest` ctest.
 # ---------------------------------------------------------------------------
@@ -481,6 +511,21 @@ SELFTEST_FIXTURES = [
      True),
     ("unsealed-block", "src/srbb/x.cpp",
      "return txn::seal(txn::make_block(i));\n", False),
+    ("host-dispatch", "src/crypto/keccak.cpp",
+     "if (__builtin_cpu_supports(\"avx2\")) return fast(a);\n", True),
+    ("host-dispatch", "src/state/x.cpp",
+     "static bool ok = (__builtin_cpu_init(), true);\n", True),
+    ("host-dispatch", "src/common/x.cpp",
+     "#include <cpuid.h>\n", True),
+    ("host-dispatch", "src/evm/x.cpp",
+     "__attribute__((target(\"avx2\"))) void add(U256& a);\n", True),
+    # The SHA-256 kernel file is the one home for dispatch.
+    ("host-dispatch", "src/crypto/sha256.cpp",
+     "return __builtin_cpu_supports(\"sha\");\n", False),
+    ("host-dispatch", "src/crypto/keccak.cpp",
+     "// __builtin_cpu_supports would go here\nvoid f();\n", False),
+    ("host-dispatch", "src/evm/x.cpp",
+     "__attribute__((always_inline)) inline void add(U256& a);\n", False),
 ]
 
 
@@ -498,6 +543,7 @@ def run_file_checks(relpath: str, text: str) -> list[tuple]:
     findings += check_interproc_bypass(relpath, lines)
     findings += check_message_dynamic_cast(relpath, lines)
     findings += check_unsealed_block(relpath, lines)
+    findings += check_host_dispatch(relpath, lines)
     return findings
 
 
@@ -607,6 +653,7 @@ def main() -> int:
         findings += check_interproc_bypass(relpath, lines)
         findings += check_message_dynamic_cast(relpath, lines)
         findings += check_unsealed_block(relpath, lines)
+        findings += check_host_dispatch(relpath, lines)
 
     allowlist = ([] if args.no_allowlist
                  else load_allowlist(args.root / "tools/lint_allowlist.txt"))
