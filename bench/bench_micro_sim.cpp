@@ -1,7 +1,7 @@
-// Microbenchmarks for the discrete-event substrate: raw event throughput,
-// message delivery through the latency/bandwidth model, and gossip overlay
-// construction. These bound how large a deployment the figure benches can
-// simulate per wall-clock second.
+// Microbenchmarks for the discrete-event substrate: raw event throughput, a
+// node's FIFO CPU, message delivery through the latency/bandwidth model, and
+// gossip overlay construction. These bound how large a deployment the figure
+// benches can simulate per wall-clock second.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -42,6 +42,21 @@ class Sink : public SimNode {
   void handle_message(NodeId, const MessagePtr&) override { ++received; }
   std::uint64_t received = 0;
 };
+
+// One node's CPU: n post_work items queued at once, then drained. Finish
+// times never decrease, so every item rides the node's CPU lane.
+void BM_PostWorkFifo(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    Simulation sim;
+    Sink node{sim, 0, 0};
+    for (std::size_t i = 0; i < n; ++i) node.post_work(1, [] {});
+    sim.run_until_idle();
+    benchmark::DoNotOptimize(sim.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PostWorkFifo)->Arg(100000);
 
 // Args {nodes, all_to_all}. {50, 0}: 2000 point-to-point sends spread over
 // 50 nodes. {20, 1}: the consensus-bound workload's shape - 20 validators,

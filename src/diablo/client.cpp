@@ -1,5 +1,7 @@
 #include "diablo/client.hpp"
 
+#include <algorithm>
+
 namespace srbb::diablo {
 
 void ClientNode::set_observability(obs::TraceSink* trace,
@@ -14,8 +16,15 @@ void ClientNode::add_submission(SimTime at, txn::TxPtr tx, sim::NodeId target) {
 }
 
 void ClientNode::start() {
+  // A lane takes its events in time order. The stable sort keeps same-time
+  // submissions in registration order, and the lane stamps them from one
+  // run of the global seq counter, so they fire exactly when, and in the
+  // order, one timer per submission would.
+  std::stable_sort(
+      schedule_.begin(), schedule_.end(),
+      [](const Submission& a, const Submission& b) { return a.at < b.at; });
   for (const Submission& submission : schedule_) {
-    sim().schedule_at(
+    submissions_.push(
         submission.at, [this, tx = submission.tx, target = submission.target] {
           ++sent_;
           first_send_ = std::min(first_send_, now());
@@ -23,6 +32,7 @@ void ClientNode::start() {
           dispatch(tx, target, 0);
         });
   }
+  schedule_.clear();
 }
 
 void ClientNode::dispatch(const txn::TxPtr& tx, sim::NodeId target,

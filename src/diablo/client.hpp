@@ -45,7 +45,7 @@ class ClientNode : public sim::SimNode {
 
   /// Register the full schedule before the run starts.
   void add_submission(SimTime at, txn::TxPtr tx, sim::NodeId target);
-  /// Arm timers for every scheduled submission.
+  /// Queue every registered submission on this client's lane. Call once.
   void start();
 
   void handle_message(sim::NodeId from, const sim::MessagePtr& message) override;
@@ -64,6 +64,7 @@ class ClientNode : public sim::SimNode {
   void dispatch(const txn::TxPtr& tx, sim::NodeId target, std::uint32_t attempt);
 
   std::vector<Submission> schedule_;
+  sim::WorkLane submissions_{sim()};  // the schedule, in time order
   std::unordered_map<Hash32, SimTime, Hash32Hasher> sent_at_;
   std::unordered_map<Hash32, SimTime, Hash32Hasher> committed_;
   std::uint64_t sent_ = 0;

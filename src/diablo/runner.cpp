@@ -382,6 +382,9 @@ RunResult run_experiment(const RunConfig& config) {
   result.network_messages = network.total_messages();
   result.network_bytes = network.total_bytes();
   result.slash_events = rpm_contract->slash_events().size();
+  result.sim_events = simulation.events_processed();
+  result.sim_peak_heap = simulation.peak_heap();
+  result.sim_peak_pending = simulation.peak_pending();
   // Guard the observation-window division: a zero-duration run (empty
   // workload, no drain) has no rate, not an infinite one.
   const double run_seconds =

@@ -114,6 +114,12 @@ struct RunResult {
   std::uint64_t slash_events = 0;
   double valid_committed_per_validator_tps = 0;
 
+  // Event-loop load (docs/OBSERVABILITY.md): events fired, and the peaks of
+  // the timer heap and of all pending events. Pure functions of the seed.
+  std::uint64_t sim_events = 0;
+  std::uint64_t sim_peak_heap = 0;
+  std::uint64_t sim_peak_pending = 0;
+
   // Robustness diagnostics (fault-injected runs).
   std::vector<std::uint64_t> window_commits;  // commits per tps_window
   std::uint64_t faults_dropped = 0;

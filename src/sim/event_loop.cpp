@@ -1,34 +1,56 @@
 #include "sim/event_loop.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace srbb::sim {
 
+SimTime Simulation::admit(SimTime time) {
+  peak_pending_ = std::max(peak_pending_, ++pending_);
+  return std::max(time, now_);  // no scheduling into the past
+}
+
+void Simulation::note_heap_size() {
+  peak_heap_ = std::max(peak_heap_, timers_.size() + heads_.size());
+}
+
 void Simulation::schedule_at(SimTime time, EventFn fn) {
-  if (time < now_) time = now_;  // no scheduling into the past
-  queue_.push(Event{time, next_seq_++, std::move(fn)});
+  time = admit(time);
+  timers_.push(Timer{time, next_seq_++, std::move(fn)});
+  note_heap_size();
+}
+
+void Simulation::push_head(Head head) {
+  heads_.push_back(head);
+  std::push_heap(heads_.begin(), heads_.end(), Later{});
+  note_heap_size();
+}
+
+void Simulation::fire_next() {
+  ++processed_;
+  --pending_;
+  if (next_is_timer()) {
+    // Copy out before pop so the handler may schedule freely.
+    Timer timer = std::move(const_cast<Timer&>(timers_.top()));
+    timers_.pop();
+    now_ = timer.time;
+    timer.fn();
+  } else {
+    std::pop_heap(heads_.begin(), heads_.end(), Later{});
+    const Head head = heads_.back();
+    heads_.pop_back();
+    now_ = head.time;
+    head.lane->fire_front();
+  }
 }
 
 void Simulation::run_until(SimTime end) {
-  while (!queue_.empty() && queue_.top().time <= end) {
-    // Copy out before pop so the handler may schedule freely.
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = event.time;
-    ++processed_;
-    event.fn();
-  }
+  while (!idle() && next_time() <= end) fire_next();
   if (now_ < end) now_ = end;
 }
 
 void Simulation::run_until_idle() {
-  while (!queue_.empty()) {
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = event.time;
-    ++processed_;
-    event.fn();
-  }
+  while (!idle()) fire_next();
 }
 
 }  // namespace srbb::sim

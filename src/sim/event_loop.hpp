@@ -1,18 +1,33 @@
 // Deterministic discrete-event engine. Events fire in (time, insertion)
 // order, so a run is a pure function of its seed — the property every
 // experiment in EXPERIMENTS.md relies on for reproducibility.
+//
+// Most events come from sources that are already in time order: a node's
+// CPU finishes work FIFO, a receiver's NIC finishes deliveries FIFO, a client
+// submits on a sorted schedule. Each such source is a lane, a FIFO of events
+// pushed in non-decreasing time. The heap holds the free-form timers plus
+// one entry for the head of each non-empty lane, so it stays about as large
+// as the number of nodes however many events are pending (docs/PERF.md §9).
+// Every event, timer or lane item, draws its tie-break seq from one counter
+// at schedule time, so the firing order is the same as one heap of all
+// events.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
+#include "common/invariant.hpp"
 #include "common/time.hpp"
 
 namespace srbb::sim {
 
 using EventFn = std::function<void()>;
+
+class Lane;
 
 class Simulation {
  public:
@@ -29,25 +44,134 @@ class Simulation {
   void run_until_idle();
 
   std::uint64_t events_processed() const { return processed_; }
-  std::size_t pending_events() const { return queue_.size(); }
+  /// Events scheduled and not yet fired: timers plus every lane's queue.
+  std::size_t pending_events() const { return pending_; }
+  std::size_t peak_pending() const { return peak_pending_; }
+  /// Peak heap size: timers plus one head per non-empty lane.
+  std::size_t peak_heap() const { return peak_heap_; }
 
  private:
-  struct Event {
+  friend class Lane;
+
+  struct Timer {
     SimTime time;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
     EventFn fn;
   };
+  struct Head {
+    SimTime time;
+    std::uint64_t seq;
+    Lane* lane;
+  };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
+  /// Clamp `time` to now and count one more pending event.
+  SimTime admit(SimTime time);
+  void push_head(Head head);
+  void note_heap_size();
+  bool idle() const { return timers_.empty() && heads_.empty(); }
+  bool next_is_timer() const {
+    return heads_.empty() ||
+           (!timers_.empty() && Later{}(heads_.front(), timers_.top()));
+  }
+  SimTime next_time() const {
+    return next_is_timer() ? timers_.top().time : heads_.front().time;
+  }
+  void fire_next();
+
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::size_t pending_ = 0;
+  std::size_t peak_pending_ = 0;
+  std::size_t peak_heap_ = 0;
+  // One heap in two parts, merged on (time, seq) at every pop: the timers,
+  // and the heads of the non-empty lanes (a binary heap by std::push_heap).
+  std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
+  std::vector<Head> heads_;
+};
+
+/// A FIFO event source, in non-decreasing time. While it is non-empty it
+/// keeps exactly one heap entry, for its head, and that entry points at the
+/// lane: a lane with queued events must outlive the run, as the node that
+/// owns it does.
+class Lane {
+ public:
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+
+ protected:
+  explicit Lane(Simulation& simulation) : sim_(simulation) {}
+  ~Lane() = default;
+
+  /// The (time, seq) of an event pushed at `time`, clamped to now.
+  std::pair<SimTime, std::uint64_t> stamp(SimTime time) {
+    time = sim_.admit(time);
+    // The heap orders lanes by their heads alone, which is only sound while
+    // every lane is sorted.
+    SRBB_CHECK(time >= last_time_);
+    last_time_ = time;
+    return {time, sim_.next_seq_++};
+  }
+  void queue_head(SimTime time, std::uint64_t seq) {
+    sim_.push_head(Simulation::Head{time, seq, this});
+  }
+
+ private:
+  friend class Simulation;
+  /// Pop the head, queue the next one, then run the popped event.
+  virtual void fire_front() = 0;
+
+  Simulation& sim_;
+  SimTime last_time_ = 0;
+};
+
+/// A lane of `Payload`s, each consumed by `run` when its time comes.
+/// Pushes must come in non-decreasing time (an SRBB_CHECK).
+template <typename Payload>
+class EventLane : public Lane {
+ public:
+  void push(SimTime time, Payload payload) {
+    const auto [at, seq] = stamp(time);
+    items_.push_back(Item{at, seq, std::move(payload)});
+    if (items_.size() == 1) queue_head(at, seq);
+  }
+
+ protected:
+  using Lane::Lane;
+  ~EventLane() = default;
+  virtual void run(Payload& payload) = 0;
+
+ private:
+  struct Item {
+    SimTime time;
+    std::uint64_t seq;
+    Payload payload;
+  };
+
+  void fire_front() final {
+    Payload payload = std::move(items_.front().payload);
+    items_.pop_front();
+    if (!items_.empty()) queue_head(items_.front().time, items_.front().seq);
+    run(payload);
+  }
+
+  std::deque<Item> items_;
+};
+
+/// A lane of closures: a node's CPU, whose work finishes in FIFO order.
+class WorkLane final : public EventLane<EventFn> {
+ public:
+  explicit WorkLane(Simulation& simulation) : EventLane(simulation) {}
+
+ private:
+  void run(EventFn& fn) override { fn(); }
 };
 
 }  // namespace srbb::sim

@@ -12,7 +12,7 @@ void SimNode::post_work(SimDuration cpu_cost, EventFn fn) {
   const SimTime done = start + cpu_cost;
   cpu_free_at_ = done;
   stats_.cpu_busy += cpu_cost;
-  sim_.schedule_at(done, std::move(fn));
+  cpu_.push(done, std::move(fn));
 }
 
 void SimNode::send(NodeId to, MessagePtr message) {
@@ -28,7 +28,7 @@ void Network::attach(SimNode* node) {
   SRBB_CHECK(node->id() == nodes_.size());
   node->network_ = this;
   nodes_.push_back(node);
-  nics_.push_back(Nic{});
+  nics_.emplace_back(*this, node->id());
 }
 
 void Network::ensure_link_stats() {
@@ -144,34 +144,18 @@ void Network::deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
       std::max(arrival, receiver_nic.ingress_free_at) + tx_delay;
   receiver_nic.ingress_free_at = ingress_done;
 
-  std::uint32_t slot = 0;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  in_flight_[slot] = InFlight{from, to, bytes, message};
-  sim_.schedule_at(ingress_done, [this, slot] { deliver(slot); });
+  receiver_nic.ingress.push(ingress_done, Delivery{from, bytes, message});
+  peak_in_flight_ = std::max(peak_in_flight_, ++in_flight_);
 }
 
-void Network::deliver(std::uint32_t slot) {
-  // Free the slot before the handler runs: the handler may send, which can
-  // grow in_flight_ and invalidate any reference into it.
-  InFlight& entry = in_flight_[slot];
-  const NodeId from = entry.from;
-  const NodeId to = entry.to;
-  const std::size_t bytes = entry.bytes;
-  const MessagePtr message = std::move(entry.message);
-  free_slots_.push_back(slot);
-
+void Network::deliver(NodeId to, const Delivery& delivery) {
+  --in_flight_;
   // A node that crashed while the message was in flight loses it.
   if (faults_ != nullptr && faults_->node_down(to, sim_.now())) return;
   SimNode* receiver = nodes_[to];
   receiver->stats_.messages_received += 1;
-  receiver->stats_.bytes_received += bytes;
-  receiver->handle_message(from, message);
+  receiver->stats_.bytes_received += delivery.bytes;
+  receiver->handle_message(delivery.from, delivery.message);
 }
 
 }  // namespace srbb::sim

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -103,7 +104,8 @@ class SimNode {
 
   /// Serialize `cpu_cost` of work on this node's single core, then run `fn`.
   /// Work queues FIFO behind whatever the node is already doing — this is
-  /// where validation cost turns into queueing delay under load.
+  /// where validation cost turns into queueing delay under load. Finish
+  /// times never decrease, so the work rides this node's CPU lane.
   void post_work(SimDuration cpu_cost, EventFn fn);
 
   /// Convenience: send via the attached network.
@@ -116,6 +118,7 @@ class SimNode {
   RegionId region_;
   Network* network_ = nullptr;
   SimTime cpu_free_at_ = 0;
+  WorkLane cpu_{sim_};
   NodeStats stats_;
 };
 
@@ -151,9 +154,9 @@ class Network {
   const LatencyModel& latency() const { return config_.latency; }
 
   std::uint64_t total_messages() const { return total_messages_; }
-  /// Delivery slots allocated so far, free or in use: the peak number of
-  /// messages in flight at once.
-  std::size_t in_flight_slots() const { return in_flight_.size(); }
+  /// The peak number of messages in flight at once: deliveries queued on
+  /// the receivers' ingress lanes, summed over receivers.
+  std::size_t peak_in_flight() const { return peak_in_flight_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
 
   /// Emit `net.*` trace events (fault drops, duplicates, partition/crash
@@ -169,9 +172,33 @@ class Network {
   std::uint64_t link_bytes(NodeId from, NodeId to) const;
 
  private:
+  /// A message on the wire, queued on its receiver's ingress lane until it
+  /// has been serialized in.
+  struct Delivery {
+    NodeId from = 0;
+    std::size_t bytes = 0;
+    MessagePtr message;
+  };
+
+  /// Deliveries to one receiver. Their finish times never decrease: each is
+  /// max(arrival, ingress_free_at) + tx_delay, and ingress_free_at is the
+  /// previous one's.
+  class Ingress final : public EventLane<Delivery> {
+   public:
+    Ingress(Network& network, NodeId to)
+        : EventLane(network.sim_), network_(network), to_(to) {}
+
+   private:
+    void run(Delivery& delivery) override { network_.deliver(to_, delivery); }
+    Network& network_;
+    NodeId to_;
+  };
+
   struct Nic {
+    Nic(Network& network, NodeId id) : ingress(network, id) {}
     SimTime egress_free_at = 0;
     SimTime ingress_free_at = 0;
+    Ingress ingress;
   };
 
   SimDuration transmission_delay(std::size_t bytes) const {
@@ -179,21 +206,9 @@ class Network {
                                     config_.bandwidth_bps * kSecond);
   }
 
-  /// A message on the wire, parked until its delivery event fires. Slots
-  /// are recycled through free_slots_, and the delivery event captures only
-  /// [this, slot], which fits std::function's inline buffer: delivering a
-  /// message allocates nothing once the slot pool has grown to the peak
-  /// number of messages in flight.
-  struct InFlight {
-    NodeId from = 0;
-    NodeId to = 0;
-    std::size_t bytes = 0;
-    MessagePtr message;
-  };
-
   void deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
                     std::size_t bytes, SimDuration extra_delay);
-  void deliver(std::uint32_t slot);
+  void deliver(NodeId to, const Delivery& delivery);
 
   /// nodes_.size()^2 slots, row-major by sender; grown lazily on send so
   /// attach order doesn't matter.
@@ -208,9 +223,9 @@ class Network {
   FaultInjector* faults_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
   std::vector<SimNode*> nodes_;
-  std::vector<Nic> nics_;
-  std::vector<InFlight> in_flight_;
-  std::vector<std::uint32_t> free_slots_;
+  std::deque<Nic> nics_;  // a deque: the heap points at each ingress lane
+  std::size_t in_flight_ = 0;
+  std::size_t peak_in_flight_ = 0;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
   bool link_stats_enabled_ = false;

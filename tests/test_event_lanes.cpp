@@ -1,0 +1,323 @@
+// Event lanes (sim/event_loop.hpp) against the one-heap engine they replaced
+// (tests/oracle_event_loop.hpp). Each seed builds a random program of heap
+// timers, post_work on several nodes and network sends with random latency,
+// bandwidth and faults, whose handlers schedule more of the same; both
+// engines must fire the same (time, id) sequence.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "oracle_event_loop.hpp"
+#include "sim/event_loop.hpp"
+#include "sim/fault.hpp"
+#include "sim/network.hpp"
+
+namespace srbb::sim {
+namespace {
+
+constexpr std::uint64_t kSeeds = 200;
+
+struct Probe final : Message {
+  Probe(std::size_t payload_bytes, std::uint64_t event_id)
+      : bytes(payload_bytes), id(event_id) {}
+  std::size_t size_bytes() const override { return bytes; }
+  const char* type() const override { return "probe"; }
+  std::size_t bytes;
+  std::uint64_t id;
+};
+
+using Receive = std::function<void(const MessagePtr&)>;
+
+class ProbeNode final : public SimNode {
+ public:
+  ProbeNode(Simulation& simulation, NodeId id, RegionId region,
+            Receive receive)
+      : SimNode(simulation, id, region), receive_(std::move(receive)) {}
+  void handle_message(NodeId, const MessagePtr& message) override {
+    receive_(message);
+  }
+
+ private:
+  Receive receive_;
+};
+
+/// One program's world: committee size, wire and fault plan.
+struct Spec {
+  std::uint64_t seed = 0;
+  std::size_t nodes = 0;
+  std::vector<RegionId> regions;
+  NetworkConfig net;
+  FaultPlan faults;
+  std::uint32_t budget = 0;  // events the program creates in all
+};
+
+Spec make_spec(std::uint64_t seed) {
+  Rng rng{seed * 7919 + 13};
+  Spec spec;
+  spec.seed = seed;
+  spec.nodes = 2 + rng.next_below(5);
+  const std::size_t regions = 1 + rng.next_below(3);
+  for (std::size_t i = 0; i < spec.nodes; ++i) {
+    spec.regions.push_back(static_cast<RegionId>(i % regions));
+  }
+  // A quarter of the programs run on a zero-latency wire: with zero-byte
+  // messages and zero-cost work, many events then share one time.
+  const SimDuration one_way =
+      rng.next_below(4) == 0 ? 0 : millis(1 + rng.next_below(80));
+  spec.net.latency = LatencyModel::uniform(regions, one_way);
+  spec.net.bandwidth_bps =
+      rng.next_bool(0.5) ? 1e5 * static_cast<double>(1 + rng.next_below(100))
+                         : 2.5e9;
+  spec.net.seed = seed + 1;
+  spec.faults.seed = seed + 2;
+  if (rng.next_bool(0.75)) {
+    spec.faults.default_link.drop = 0.15 * rng.next_double();
+    spec.faults.default_link.duplicate = 0.3 * rng.next_double();
+    spec.faults.default_link.reorder = 0.3 * rng.next_double();
+    spec.faults.default_link.reorder_delay_max = millis(30);
+  }
+  if (rng.next_bool(0.5)) {
+    const SimTime at = millis(rng.next_below(150));
+    spec.faults.crashes.push_back(
+        CrashSpec{static_cast<NodeId>(rng.next_below(spec.nodes)), at,
+                  at + millis(1 + rng.next_below(150))});
+  }
+  spec.budget = 100 + static_cast<std::uint32_t>(rng.next_below(400));
+  return spec;
+}
+
+/// The engine under test: Simulation with its lanes, the real Network.
+struct LaneWorld {
+  LaneWorld(const Spec& spec, const Receive& receive)
+      : faults(spec.faults), net(sim, spec.net) {
+    net.set_fault_injector(&faults);
+    for (std::size_t i = 0; i < spec.nodes; ++i) {
+      nodes.push_back(std::make_unique<ProbeNode>(
+          sim, static_cast<NodeId>(i), spec.regions[i], receive));
+      net.attach(nodes.back().get());
+    }
+  }
+  void post_work(NodeId node, SimDuration cost, EventFn fn) {
+    nodes[node]->post_work(cost, std::move(fn));
+  }
+  void send(NodeId from, NodeId to, MessagePtr message) {
+    net.send(from, to, std::move(message));
+  }
+
+  Simulation sim;
+  FaultInjector faults;
+  Network net;
+  std::vector<std::unique_ptr<ProbeNode>> nodes;
+};
+
+/// The reference: one heap of every event.
+struct HeapWorld {
+  HeapWorld(const Spec& spec, const Receive& receive)
+      : faults(spec.faults),
+        net(sim, spec.net, spec.regions, &faults,
+            [receive](NodeId, NodeId, const MessagePtr& message) {
+              receive(message);
+            }) {}
+  void post_work(NodeId node, SimDuration cost, EventFn fn) {
+    net.post_work(node, cost, std::move(fn));
+  }
+  void send(NodeId from, NodeId to, MessagePtr message) {
+    net.send(from, to, std::move(message));
+  }
+
+  oracle::HeapSimulation sim;
+  FaultInjector faults;
+  oracle::HeapNetwork net;
+};
+
+struct Outcome {
+  std::vector<std::pair<SimTime, std::uint64_t>> fired;  // (time, event id)
+  std::uint64_t events = 0;
+  SimTime end = 0;
+};
+
+/// A random program. Its RNG is drawn in firing order, so two engines that
+/// fire differently also go on to build different programs.
+template <typename World>
+class Program {
+ public:
+  explicit Program(const Spec& spec)
+      : spec_(spec),
+        rng_(spec.seed),
+        budget_(spec.budget),
+        world_(spec, [this](const MessagePtr& message) {
+          fire(static_cast<const Probe&>(*message).id);
+        }) {}
+
+  Outcome run() {
+    for (std::uint32_t i = 0; i < spec_.budget / 4; ++i) act();
+    world_.sim.run_until(millis(60));
+    // More events from outside the loop, mid-run.
+    for (std::uint32_t i = 0; i < spec_.budget / 8; ++i) act();
+    world_.sim.run_until_idle();
+    outcome_.events = world_.sim.events_processed();
+    outcome_.end = world_.sim.now();
+    return std::move(outcome_);
+  }
+
+  World& world() { return world_; }
+
+ private:
+  void fire(std::uint64_t id) {
+    outcome_.fired.emplace_back(world_.sim.now(), id);
+    const std::uint64_t more = rng_.next_below(3);
+    for (std::uint64_t i = 0; i < more; ++i) act();
+  }
+
+  SimDuration delay() {
+    return rng_.next_bool(0.3) ? 0 : rng_.next_below(millis(20));
+  }
+
+  void act() {
+    if (budget_ == 0) return;
+    --budget_;
+    const std::uint64_t id = next_id_++;
+    const auto node = static_cast<NodeId>(rng_.next_below(spec_.nodes));
+    switch (rng_.next_below(4)) {
+      case 0:
+        world_.sim.schedule_after(delay(), [this, id] { fire(id); });
+        break;
+      case 1:
+        world_.post_work(node, delay(), [this, id] { fire(id); });
+        break;
+      default: {
+        const auto to = static_cast<NodeId>(rng_.next_below(spec_.nodes));
+        const std::size_t bytes =
+            rng_.next_bool(0.3) ? 0 : rng_.next_below(4000);
+        world_.send(node, to, std::make_shared<Probe>(bytes, id));
+      }
+    }
+  }
+
+  const Spec& spec_;
+  Rng rng_;
+  std::uint32_t budget_;
+  std::uint64_t next_id_ = 0;
+  Outcome outcome_;
+  World world_;  // last: its nodes call back into the members above
+};
+
+class EventLaneDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EventLaneDifferential, SameFiringSequenceAsOneHeap) {
+  const Spec spec = make_spec(GetParam());
+  const Outcome lanes = Program<LaneWorld>{spec}.run();
+  const Outcome heap = Program<HeapWorld>{spec}.run();
+  ASSERT_EQ(lanes.fired.size(), heap.fired.size());
+  for (std::size_t i = 0; i < heap.fired.size(); ++i) {
+    ASSERT_EQ(lanes.fired[i], heap.fired[i]) << "event " << i;
+  }
+  EXPECT_EQ(lanes.events, heap.events);
+  EXPECT_EQ(lanes.end, heap.end);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventLaneDifferential,
+                         ::testing::Range<std::uint64_t>(0, kSeeds));
+
+// The seeds must reach what the differential is about; a generator that
+// drifted into trivial programs would pass it vacuously.
+TEST(EventLaneDifferentialCoverage, ProgramsReachFaultsTiesAndDeepLanes) {
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t reordered = 0;
+  std::uint64_t crash_lost = 0;
+  std::uint64_t ties = 0;
+  std::uint64_t deep_lane_runs = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    const Spec spec = make_spec(seed);
+    Program<LaneWorld> program{spec};
+    const Outcome outcome = program.run();
+    const LaneWorld& world = program.world();
+    dropped += world.faults.stats().dropped;
+    duplicated += world.faults.stats().duplicated;
+    reordered += world.faults.stats().reordered;
+    // Copies put on the wire minus copies handed to a receiver: the ones a
+    // crash swallowed in flight.
+    std::uint64_t copies = 0;
+    std::uint64_t received = 0;
+    for (const auto& node : world.nodes) {
+      const NodeStats& stats = node->stats();
+      copies += stats.messages_sent - stats.messages_dropped -
+                stats.partition_blocked + stats.messages_duplicated;
+      received += stats.messages_received;
+    }
+    crash_lost += copies - received;
+    for (std::size_t i = 1; i < outcome.fired.size(); ++i) {
+      if (outcome.fired[i].first == outcome.fired[i - 1].first) ++ties;
+    }
+    if (world.sim.peak_pending() > 2 * world.sim.peak_heap()) ++deep_lane_runs;
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_GT(reordered, 0u);
+  EXPECT_GT(crash_lost, 0u);
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(deep_lane_runs, 0u);
+}
+
+TEST(EventLanes, HeapHoldsOneHeadPerLane) {
+  Simulation sim;
+  std::vector<std::unique_ptr<WorkLane>> lanes;
+  for (int i = 0; i < 4; ++i) lanes.push_back(std::make_unique<WorkLane>(sim));
+  int fired = 0;
+  for (SimTime t = 0; t < 1000; ++t) {
+    for (auto& lane : lanes) lane->push(t, [&fired] { ++fired; });
+  }
+  sim.schedule_at(500, [&fired] { ++fired; });
+  EXPECT_EQ(sim.peak_heap(), 5u);
+  EXPECT_EQ(sim.pending_events(), 4001u);
+  sim.run_until_idle();
+  EXPECT_EQ(fired, 4001);
+  EXPECT_EQ(sim.events_processed(), 4001u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.peak_heap(), 5u);
+  EXPECT_EQ(sim.peak_pending(), 4001u);
+}
+
+TEST(EventLanes, SameTimeEventsFireInScheduleOrderAcrossLanesAndTimers) {
+  Simulation sim;
+  WorkLane a{sim};
+  WorkLane b{sim};
+  std::vector<int> order;
+  for (int i = 0; i < 9; ++i) {
+    const auto record = [&order, i] { order.push_back(i); };
+    switch (i % 3) {
+      case 0: a.push(7, record); break;
+      case 1: sim.schedule_at(7, record); break;
+      default: b.push(7, record); break;
+    }
+  }
+  sim.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(EventLanes, PastPushClampsToNow) {
+  Simulation sim;
+  WorkLane lane{sim};
+  SimTime fired_at = 0;
+  sim.schedule_at(100, [&] {
+    lane.push(50, [&] { fired_at = sim.now(); });  // "in the past"
+  });
+  sim.run_until_idle();
+  EXPECT_EQ(fired_at, 100u);
+}
+
+TEST(EventLanesDeathTest, PushBackInTimeAborts) {
+  Simulation sim;
+  WorkLane lane{sim};
+  lane.push(10, [] {});
+  EXPECT_DEATH(lane.push(5, [] {}), "SRBB_CHECK");
+}
+
+}  // namespace
+}  // namespace srbb::sim

@@ -294,11 +294,12 @@ TEST(NetworkSlots, CrashInFlightDropReleasesTheMessage) {
   EXPECT_TRUE(f.nodes[1]->received.empty());
   EXPECT_EQ(f.nodes[1]->stats().messages_received, 0u);
   EXPECT_EQ(ping.use_count(), 1);
-  // The dropped delivery's slot went back to the pool.
+  // The dropped delivery left the ingress lane: a second message is the
+  // only one in flight.
   f.net.set_fault_injector(nullptr);
   f.nodes[0]->send(1, ping);
   f.sim.run_until_idle();
-  EXPECT_EQ(f.net.in_flight_slots(), 1u);
+  EXPECT_EQ(f.net.peak_in_flight(), 1u);
   EXPECT_EQ(ping.use_count(), 1);
 }
 
@@ -314,10 +315,10 @@ TEST(NetworkSlots, SecondBurstReusesSlots) {
     f.sim.run_until_idle();
   };
   burst();
-  const std::size_t slots = f.net.in_flight_slots();
-  EXPECT_EQ(slots, 20u);  // every message of the burst was in flight at once
-  burst();
-  EXPECT_EQ(f.net.in_flight_slots(), slots);
+  // Every message of the burst was in flight at once.
+  EXPECT_EQ(f.net.peak_in_flight(), 20u);
+  burst();  // the first burst drained, so the peak does not grow
+  EXPECT_EQ(f.net.peak_in_flight(), 20u);
   EXPECT_EQ(f.net.total_messages(), 40u);
   EXPECT_EQ(ping.use_count(), 1);
 }

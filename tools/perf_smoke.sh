@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf-smoke gate (docs/PERF.md): build the commit-path microbenches and
 # assert the structural speedups this repo claims, as *relative* ratios with
-# generous margins so the gate is robust to slow/noisy CI machines:
+# generous margins so the gate is robust to slow/noisy CI machines, or as
+# exact deterministic counts:
 #
 #   1. multi-scalar batch ed25519 (batch 64) beats one-at-a-time verify
 #      per item;
@@ -22,7 +23,12 @@
 #      the table-driven test oracle (tests/oracle_keccak.hpp), and, on a CPU
 #      with SHA-NI, dispatched Sha256 at least 2x faster than the portable
 #      rounds (tests/oracle_sha256.hpp). Without SHA-NI the SHA half prints
-#      "skipped: no SHA-NI".
+#      "skipped: no SHA-NI";
+#   8. the event heap holds lane heads, not pending events: srbb-sim's
+#      sim_peak_heap in the two gate-6 runs stays under
+#      4 x (validators + clients). The count is exact, so this gate has no
+#      noise; one heap entry per pending event overshoots it by orders of
+#      magnitude.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -56,13 +62,15 @@ mkdir -p "$out"
 "$build_dir/bench/bench_micro_parallel_exec" --benchmark_min_time=0.05 \
     --benchmark_filter='BM_(ParallelExec|HintedExec)/workload:(2|8)/workers:4' \
     --benchmark_format=json > "$out/exec.json"
-# Peak RSS (KiB) of one srbb-sim run per scale, from the child's rusage.
+# One srbb-sim run per scale: its JSON result (gate 8) and its peak RSS in
+# KiB (gate 6), from the child's rusage.
 for scale in 0.05 0.1; do
   python3 -c 'import resource, subprocess, sys
-subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+with open(sys.argv[1], "w") as fh:
+    subprocess.run(sys.argv[2:], check=True, stdout=fh)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
-      "$build_dir/tools/srbb-sim" --system srbb --workload fifa \
-      --scale "$scale" --json > "$out/rss_$scale.txt"
+      "$out/sim_$scale.json" "$build_dir/tools/srbb-sim" --system srbb \
+      --workload fifa --scale "$scale" --json > "$out/rss_$scale.txt"
 done
 
 python3 - "$out" <<'EOF'
@@ -167,6 +175,22 @@ if hashes["BM_Sha256/4096"]["shani"]:
           / hashes["BM_Sha256Portable/4096"]["real_time"], 0.5)
 else:
     print("  sha256-4096 / portable-sha256-4096: skipped: no SHA-NI")
+
+# 8. Event-heap size, SRBB FIFA at n = 10 and n = 20. The heap holds the
+#    free-form timers plus one head per non-empty lane (a node's CPU, a
+#    receiver's NIC, a client's schedule), so it scales with the node count.
+#    Measured 42 and 71 with lanes; one heap entry per pending event peaked
+#    at 32,676 and 73,120. Deterministic, so the bound is exact.
+for scale in ("0.05", "0.1"):
+    with open(f"{out}/sim_{scale}.json") as fh:
+        run = json.load(fh)
+    bound = 4 * (run["validators"] + run["clients"])
+    heap = run["sim_peak_heap"]
+    status = "ok" if heap < bound else "FAIL"
+    print(f"  fifa-scale{scale} sim_peak_heap: {heap} (must be < {bound}; "
+          f"peak pending events {run.get('sim_peak_pending')}) [{status}]")
+    if status == "FAIL":
+        failures.append(f"peak-heap-scale{scale}")
 
 if failures:
     print(f"perf_smoke: FAILED ({', '.join(failures)})")

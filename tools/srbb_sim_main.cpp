@@ -181,15 +181,18 @@ int main(int argc, char** argv) {
   if (json) {
     std::printf(
         "{\"system\":\"%s\",\"workload\":\"%s\",\"validators\":%u,"
+        "\"clients\":%u,"
         "\"sent\":%llu,\"committed\":%llu,\"commit_pct\":%.3f,"
         "\"throughput_tps\":%.3f,\"avg_latency_s\":%.4f,"
         "\"p50_latency_s\":%.4f,\"p95_latency_s\":%.4f,"
         "\"max_latency_s\":%.4f,\"eager_validations\":%llu,"
         "\"gossip_tx_messages\":%llu,\"pool_drops\":%llu,"
         "\"invalid_discarded\":%llu,\"network_messages\":%llu,"
-        "\"network_bytes\":%llu,\"crashed_nodes\":%llu,\"slashes\":%llu}\n",
+        "\"network_bytes\":%llu,\"crashed_nodes\":%llu,\"slashes\":%llu,"
+        "\"sim_events\":%llu,\"sim_peak_heap\":%llu,"
+        "\"sim_peak_pending\":%llu}\n",
         result.system.c_str(), result.workload.c_str(), scaled.validators,
-        static_cast<unsigned long long>(result.sent),
+        scaled.clients, static_cast<unsigned long long>(result.sent),
         static_cast<unsigned long long>(result.committed), result.commit_pct,
         result.throughput_tps, result.avg_latency_s, result.p50_latency_s,
         result.p95_latency_s, result.max_latency_s,
@@ -200,7 +203,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(result.network_messages),
         static_cast<unsigned long long>(result.network_bytes),
         static_cast<unsigned long long>(result.crashed_nodes),
-        static_cast<unsigned long long>(result.slash_events));
+        static_cast<unsigned long long>(result.slash_events),
+        static_cast<unsigned long long>(result.sim_events),
+        static_cast<unsigned long long>(result.sim_peak_heap),
+        static_cast<unsigned long long>(result.sim_peak_pending));
     return 0;
   }
   std::printf("\n%s\n%s\n\n%s\n", diablo::format_header().c_str(),
