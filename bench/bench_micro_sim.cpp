@@ -1,22 +1,56 @@
 // Microbenchmarks for the discrete-event substrate: raw event throughput, a
 // node's FIFO CPU, message delivery through the latency/bandwidth model, and
 // gossip overlay construction. These bound how large a deployment the figure
-// benches can simulate per wall-clock second.
+// benches can simulate per wall-clock second. The allocs_per_event counter
+// comes from a replacement operator new in this binary
+// (tools/perf_smoke.sh gate 9).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 
 #include "sim/event_loop.hpp"
 #include "sim/gossip.hpp"
 #include "sim/network.hpp"
 
 namespace {
+std::size_t g_news = 0;  // operator new calls in this binary
+}  // namespace
+
+// All three out of line, so GCC sees neither malloc() meet operator delete
+// nor free() meet operator new, and warns of no mismatch
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++g_news;
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
+
+namespace {
 
 using namespace srbb;
 using namespace srbb::sim;
 
+/// Heap blocks allocated per event over the timed loop, which began when
+/// g_news read `before`.
+void count_allocs(benchmark::State& state, std::size_t before,
+                  std::size_t events_per_iteration) {
+  state.counters["allocs_per_event"] =
+      static_cast<double>(g_news - before) /
+      static_cast<double>(state.iterations() * events_per_iteration);
+}
+
 void BM_EventLoopScheduleRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t before = g_news;
   for (auto _ : state) {
     Simulation sim;
     for (std::size_t i = 0; i < n; ++i) {
@@ -25,6 +59,7 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
     sim.run_until_idle();
     benchmark::DoNotOptimize(sim.events_processed());
   }
+  count_allocs(state, before, n);
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventLoopScheduleRun)->Arg(1000)->Arg(100000);
@@ -57,6 +92,32 @@ void BM_PostWorkFifo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PostWorkFifo)->Arg(100000);
+
+// BM_PostWorkFifo with the validator's closure: guarded([this, from, tx])
+// captures the node, its crash epoch, the sender and a shared_ptr, 48 bytes
+// in all, which std::function would put in a heap block per item.
+void BM_PostWorkFifoCaptured(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto tx = std::make_shared<std::uint64_t>(0);
+  const std::size_t before = g_news;
+  for (auto _ : state) {
+    Simulation sim;
+    Sink node{sim, 0, 0};
+    const std::uint64_t epoch = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto from = static_cast<NodeId>(i);
+      auto work = [&node, from, tx] { node.received += from + *tx; };
+      node.post_work(1, [&node, epoch, work] {
+        if (epoch == node.received >> 63) work();
+      });
+    }
+    sim.run_until_idle();
+    benchmark::DoNotOptimize(node.received);
+  }
+  count_allocs(state, before, n);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PostWorkFifoCaptured)->Arg(100000);
 
 // Args {nodes, all_to_all}. {50, 0}: 2000 point-to-point sends spread over
 // 50 nodes. {20, 1}: the consensus-bound workload's shape - 20 validators,

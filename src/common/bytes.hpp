@@ -65,17 +65,30 @@ struct FixedBytes {
 using Hash32 = FixedBytes<32>;
 using Address = FixedBytes<20>;
 
-/// FNV-1a over the bytes; good enough for unordered_map keys (the contents
-/// are usually already cryptographic hashes).
+/// Word-wise multiply/xor-shift mix over 8-byte loads plus a zero-padded
+/// tail: a few steps per key instead of one per byte. Good enough for
+/// unordered_map keys (the contents are usually already cryptographic
+/// hashes), and every byte reaches the low bits a bucket index reads.
 template <std::size_t N>
 struct FixedBytesHasher {
   std::size_t operator()(const FixedBytes<N>& v) const {
-    std::size_t h = 1469598103934665603ull;
-    for (auto b : v.data) {
-      h ^= b;
-      h *= 1099511628211ull;
+    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ N;
+    const auto mix = [&h](std::uint64_t word) {
+      h = (h ^ word) * 0xbf58476d1ce4e5b9ull;
+      h ^= h >> 31;
+    };
+    std::size_t i = 0;
+    for (; i + 8 <= N; i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, v.data.data() + i, 8);
+      mix(word);
     }
-    return h;
+    if constexpr (N % 8 != 0) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, v.data.data() + i, N % 8);
+      mix(word);
+    }
+    return static_cast<std::size_t>(h * 0x94d049bb133111ebull ^ (h >> 29));
   }
 };
 

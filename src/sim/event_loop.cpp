@@ -14,9 +14,18 @@ void Simulation::note_heap_size() {
   peak_heap_ = std::max(peak_heap_, timers_.size() + heads_.size());
 }
 
-void Simulation::schedule_at(SimTime time, EventFn fn) {
+void Simulation::schedule_at(SimTime time, Task fn) {
   time = admit(time);
-  timers_.push(Timer{time, next_seq_++, std::move(fn)});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(timer_fns_.size());
+    timer_fns_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    timer_fns_[slot] = std::move(fn);
+  }
+  timers_.push(Timer{time, next_seq_++, slot});
   note_heap_size();
 }
 
@@ -30,11 +39,14 @@ void Simulation::fire_next() {
   ++processed_;
   --pending_;
   if (next_is_timer()) {
-    // Copy out before pop so the handler may schedule freely.
-    Timer timer = std::move(const_cast<Timer&>(timers_.top()));
+    const Timer timer = timers_.top();
     timers_.pop();
     now_ = timer.time;
-    timer.fn();
+    // Move out and free the slot first: the handler may schedule, which can
+    // reuse the slot or grow timer_fns_.
+    Task fn = std::move(timer_fns_[timer.slot]);
+    free_slots_.push_back(timer.slot);
+    fn();
   } else {
     std::pop_heap(heads_.begin(), heads_.end(), Later{});
     const Head head = heads_.back();

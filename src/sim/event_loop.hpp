@@ -10,13 +10,16 @@
 // as the number of nodes however many events are pending (docs/PERF.md §9).
 // Every event, timer or lane item, draws its tie-break seq from one counter
 // at schedule time, so the firing order is the same as one heap of all
-// events.
+// events. Each event's closure is a Task, stored inline: scheduling and
+// firing allocate nothing per event (docs/PERF.md §10).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <new>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,7 +28,69 @@
 
 namespace srbb::sim {
 
-using EventFn = std::function<void()>;
+/// A move-only void() callable whose capture lives inline, in a
+/// kCapacity-byte buffer beside one ops-table pointer. There is no heap
+/// fallback: a capture that is larger, over-aligned or throws on move does
+/// not compile, so box what does not fit (a shared_ptr is 16 bytes).
+class Task {
+ public:
+  static constexpr std::size_t kCapacity = 48;
+  static constexpr std::size_t kAlign = 8;
+
+  template <typename Fn>
+    requires(!std::is_same_v<Fn, Task> && std::is_invocable_r_v<void, Fn&> &&
+             sizeof(Fn) <= kCapacity && alignof(Fn) <= kAlign &&
+             std::is_nothrow_move_constructible_v<Fn>)
+  Task(Fn fn) noexcept : ops_(&kOps<Fn>) {  // implicit: a lambda converts
+    ::new (static_cast<void*>(buf_)) Fn(std::move(fn));
+  }
+  Task(Task&& other) noexcept { take(other); }
+  Task& operator=(Task&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  Task(const Task&) = delete;
+  Task& operator=(const Task&) = delete;
+  ~Task() { reset(); }
+
+  explicit operator bool() const { return ops_ != nullptr; }
+  void operator()() { ops_->invoke(buf_); }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* fn);
+    /// Move the capture at `from` into `to`, then destroy it at `from`.
+    void (*relocate)(void* from, void* to) noexcept;
+    void (*destroy)(void* fn) noexcept;
+  };
+  /// The Fn that placement new built in a buffer.
+  template <typename Fn>
+  static Fn& held(void* buf) noexcept {
+    return *std::launder(static_cast<Fn*>(buf));
+  }
+  template <typename Fn>
+  static constexpr Ops kOps{
+      [](void* fn) { held<Fn>(fn)(); },
+      [](void* from, void* to) noexcept {
+        ::new (to) Fn(std::move(held<Fn>(from)));
+        held<Fn>(from).~Fn();
+      },
+      [](void* fn) noexcept { held<Fn>(fn).~Fn(); }};
+
+  void take(Task& other) noexcept {
+    ops_ = std::exchange(other.ops_, nullptr);
+    if (ops_ != nullptr) ops_->relocate(other.buf_, buf_);
+  }
+  void reset() noexcept {
+    if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(buf_);
+  }
+
+  alignas(kAlign) unsigned char buf_[kCapacity];
+  const Ops* ops_ = nullptr;
+};
 
 class Lane;
 
@@ -33,8 +98,8 @@ class Simulation {
  public:
   SimTime now() const { return now_; }
 
-  void schedule_at(SimTime time, EventFn fn);
-  void schedule_after(SimDuration delay, EventFn fn) {
+  void schedule_at(SimTime time, Task fn);
+  void schedule_after(SimDuration delay, Task fn) {
     schedule_at(now_ + delay, std::move(fn));
   }
 
@@ -53,10 +118,12 @@ class Simulation {
  private:
   friend class Lane;
 
+  /// A timer's heap entry; its Task waits in timer_fns_[slot], so a sift
+  /// moves 24 bytes and calls no closure code.
   struct Timer {
     SimTime time;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
-    EventFn fn;
+    std::uint32_t slot;
   };
   struct Head {
     SimTime time;
@@ -95,6 +162,8 @@ class Simulation {
   // and the heads of the non-empty lanes (a binary heap by std::push_heap).
   std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
   std::vector<Head> heads_;
+  std::vector<Task> timer_fns_;  // by Timer::slot; free ones are empty
+  std::vector<std::uint32_t> free_slots_;
 };
 
 /// A FIFO event source, in non-decreasing time. While it is non-empty it
@@ -137,9 +206,11 @@ class Lane {
 template <typename Payload>
 class EventLane : public Lane {
  public:
-  void push(SimTime time, Payload payload) {
+  /// Queue the Payload built from `args`, in place.
+  template <typename... Args>
+  void push(SimTime time, Args&&... args) {
     const auto [at, seq] = stamp(time);
-    items_.push_back(Item{at, seq, std::move(payload)});
+    items_.emplace_back(at, seq, std::forward<Args>(args)...);
     if (items_.size() == 1) queue_head(at, seq);
   }
 
@@ -150,28 +221,33 @@ class EventLane : public Lane {
 
  private:
   struct Item {
+    template <typename... Args>
+    Item(SimTime at, std::uint64_t stamp_seq, Args&&... args)
+        : time(at), seq(stamp_seq), payload(std::forward<Args>(args)...) {}
     SimTime time;
     std::uint64_t seq;
     Payload payload;
   };
 
+  /// Runs the front item where it lies: a push from inside `run` appends,
+  /// which leaves it in place. Its successor's head is queued after the run,
+  /// which the heap cannot tell apart, as (time, seq) orders it alone.
   void fire_front() final {
-    Payload payload = std::move(items_.front().payload);
+    run(items_.front().payload);
     items_.pop_front();
     if (!items_.empty()) queue_head(items_.front().time, items_.front().seq);
-    run(payload);
   }
 
   std::deque<Item> items_;
 };
 
 /// A lane of closures: a node's CPU, whose work finishes in FIFO order.
-class WorkLane final : public EventLane<EventFn> {
+class WorkLane final : public EventLane<Task> {
  public:
   explicit WorkLane(Simulation& simulation) : EventLane(simulation) {}
 
  private:
-  void run(EventFn& fn) override { fn(); }
+  void run(Task& fn) override { fn(); }
 };
 
 }  // namespace srbb::sim

@@ -7,12 +7,11 @@
 
 namespace srbb::sim {
 
-void SimNode::post_work(SimDuration cpu_cost, EventFn fn) {
+SimTime SimNode::reserve_cpu(SimDuration cpu_cost) {
   const SimTime start = std::max(now(), cpu_free_at_);
-  const SimTime done = start + cpu_cost;
-  cpu_free_at_ = done;
+  cpu_free_at_ = start + cpu_cost;
   stats_.cpu_busy += cpu_cost;
-  cpu_.push(done, std::move(fn));
+  return cpu_free_at_;
 }
 
 void SimNode::send(NodeId to, MessagePtr message) {

@@ -10,6 +10,7 @@
 #include <deque>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -105,14 +106,21 @@ class SimNode {
   /// Serialize `cpu_cost` of work on this node's single core, then run `fn`.
   /// Work queues FIFO behind whatever the node is already doing — this is
   /// where validation cost turns into queueing delay under load. Finish
-  /// times never decrease, so the work rides this node's CPU lane.
-  void post_work(SimDuration cpu_cost, EventFn fn);
+  /// times never decrease, so the work rides this node's CPU lane, which
+  /// builds the Task from `fn` in place.
+  template <typename Fn>
+  void post_work(SimDuration cpu_cost, Fn&& fn) {
+    cpu_.push(reserve_cpu(cpu_cost), std::forward<Fn>(fn));
+  }
 
   /// Convenience: send via the attached network.
   void send(NodeId to, MessagePtr message);
 
  private:
   friend class Network;
+  /// Charge `cpu_cost` behind the work already queued; its finish time.
+  SimTime reserve_cpu(SimDuration cpu_cost);
+
   Simulation& sim_;
   NodeId id_;
   RegionId region_;

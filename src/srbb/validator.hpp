@@ -219,7 +219,7 @@ class ValidatorNode : public sim::SimNode {
   /// schedule_* closure that touches validator state must go through this:
   /// crash() wipes the state those closures capture indices/iterators into.
   template <typename Fn>
-  sim::EventFn guarded(Fn fn) {
+  auto guarded(Fn fn) {
     return [this, epoch = epoch_, fn = std::move(fn)] {
       if (epoch == epoch_ && !crashed_) fn();
     };

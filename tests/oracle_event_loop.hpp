@@ -1,10 +1,11 @@
 // Differential oracle: the event loop as it stood before lanes
 // (sim/event_loop.hpp), one std::priority_queue holding every pending event,
-// kept verbatim apart from the class name and the inline definitions. Beside
-// it, the network's queueing arithmetic as it was scheduled on that loop:
-// SimNode::post_work's FIFO CPU, NIC egress and ingress serialization, the
-// FaultInjector verdict, the crash-in-flight drop and the recycled in-flight
-// slot pool, each event a plain timer. Only tests include this file.
+// each a std::function, kept verbatim apart from the class name and the
+// inline definitions. Beside it, the network's queueing arithmetic as it was
+// scheduled on that loop: SimNode::post_work's FIFO CPU, NIC egress and
+// ingress serialization, the FaultInjector verdict, the crash-in-flight drop
+// and the recycled in-flight slot pool, each event a plain timer. Only tests
+// include this file.
 #pragma once
 
 #include <algorithm>
@@ -16,12 +17,15 @@
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
-#include "sim/event_loop.hpp"
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
 #include "sim/network.hpp"
 
 namespace srbb::sim::oracle {
+
+/// The closure type the engine used before sim::Task: the differential
+/// compares the lanes and their inline Tasks against this one.
+using EventFn = std::function<void()>;
 
 class HeapSimulation {
  public:

@@ -84,6 +84,40 @@ TEST(FixedBytes, Hashable) {
   EXPECT_EQ(set.size(), 2u);
 }
 
+// Each single-byte change gives its own hash: an address that differs only
+// in its last 4 bytes, or fixed_address(tag) keys that share 19 bytes, must
+// not collide in the word-wise mix or its zero-padded tail.
+template <std::size_t N>
+void expect_single_byte_flips_hash_apart() {
+  FixedBytes<N> base;
+  for (std::size_t i = 0; i < N; ++i) base[i] = static_cast<std::uint8_t>(i);
+  std::unordered_set<std::size_t> hashes;
+  for (std::size_t i = 0; i < N; ++i) {
+    FixedBytes<N> flipped = base;
+    flipped[i] ^= 0x01;
+    hashes.insert(FixedBytesHasher<N>{}(flipped));
+  }
+  EXPECT_EQ(hashes.size(), N);
+  EXPECT_EQ(hashes.count(FixedBytesHasher<N>{}(base)), 0u);
+  EXPECT_EQ(std::hash<FixedBytes<N>>{}(base), FixedBytesHasher<N>{}(base));
+}
+
+TEST(FixedBytes, SingleByteFlipsHashApart) {
+  expect_single_byte_flips_hash_apart<20>();
+  expect_single_byte_flips_hash_apart<32>();
+}
+
+TEST(FixedBytes, TaggedAddressesHashApart) {
+  std::unordered_set<std::size_t> hashes;
+  for (unsigned tag = 0; tag < 256; ++tag) {
+    Address address;  // the runner's fixed_address(tag) shape
+    address[0] = 0xDA;
+    address[19] = static_cast<std::uint8_t>(tag);
+    hashes.insert(AddressHasher{}(address));
+  }
+  EXPECT_EQ(hashes.size(), 256u);
+}
+
 TEST(BigEndian, RoundTrip32) {
   std::uint8_t buf[4];
   put_be32(buf, 0x12345678u);

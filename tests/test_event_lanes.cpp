@@ -1,8 +1,11 @@
 // Event lanes (sim/event_loop.hpp) against the one-heap engine they replaced
-// (tests/oracle_event_loop.hpp). Each seed builds a random program of heap
-// timers, post_work on several nodes and network sends with random latency,
-// bandwidth and faults, whose handlers schedule more of the same; both
-// engines must fire the same (time, id) sequence.
+// (tests/oracle_event_loop.hpp), and the inline sim::Task closures against
+// the std::function ones. Each seed builds a random program of heap timers,
+// post_work on several nodes and network sends with random latency,
+// bandwidth and faults, whose handlers schedule more of the same; in half of
+// the programs some timers re-arm themselves from their own handler at the
+// same sim time, so a freed timer slot is reused at once. Both engines must
+// fire the same (time, id) sequence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,6 +57,7 @@ struct Spec {
   NetworkConfig net;
   FaultPlan faults;
   std::uint32_t budget = 0;  // events the program creates in all
+  bool rearm = false;        // some timers re-arm from their own handler
 };
 
 Spec make_spec(std::uint64_t seed) {
@@ -88,6 +92,7 @@ Spec make_spec(std::uint64_t seed) {
                   at + millis(1 + rng.next_below(150))});
   }
   spec.budget = 100 + static_cast<std::uint32_t>(rng.next_below(400));
+  spec.rearm = rng.next_bool(0.5);
   return spec;
 }
 
@@ -102,7 +107,7 @@ struct LaneWorld {
       net.attach(nodes.back().get());
     }
   }
-  void post_work(NodeId node, SimDuration cost, EventFn fn) {
+  void post_work(NodeId node, SimDuration cost, Task fn) {
     nodes[node]->post_work(cost, std::move(fn));
   }
   void send(NodeId from, NodeId to, MessagePtr message) {
@@ -123,7 +128,7 @@ struct HeapWorld {
             [receive](NodeId, NodeId, const MessagePtr& message) {
               receive(message);
             }) {}
-  void post_work(NodeId node, SimDuration cost, EventFn fn) {
+  void post_work(NodeId node, SimDuration cost, oracle::EventFn fn) {
     net.post_work(node, cost, std::move(fn));
   }
   void send(NodeId from, NodeId to, MessagePtr message) {
@@ -139,6 +144,7 @@ struct Outcome {
   std::vector<std::pair<SimTime, std::uint64_t>> fired;  // (time, event id)
   std::uint64_t events = 0;
   SimTime end = 0;
+  std::uint64_t rearms = 0;  // timers armed from their own handler
 };
 
 /// A random program. Its RNG is drawn in firing order, so two engines that
@@ -174,6 +180,17 @@ class Program {
     for (std::uint64_t i = 0; i < more; ++i) act();
   }
 
+  /// A timer that, when it fires, arms itself again `left` more times at
+  /// the same sim time.
+  void rearm(std::uint64_t id, SimDuration after, std::uint32_t left) {
+    world_.sim.schedule_after(after, [this, id, left] {
+      fire(id);
+      if (left == 0) return;
+      ++outcome_.rearms;
+      rearm(id, 0, left - 1);
+    });
+  }
+
   SimDuration delay() {
     return rng_.next_bool(0.3) ? 0 : rng_.next_below(millis(20));
   }
@@ -185,7 +202,12 @@ class Program {
     const auto node = static_cast<NodeId>(rng_.next_below(spec_.nodes));
     switch (rng_.next_below(4)) {
       case 0:
-        world_.sim.schedule_after(delay(), [this, id] { fire(id); });
+        if (spec_.rearm && rng_.next_bool(0.5)) {
+          const auto again = static_cast<std::uint32_t>(rng_.next_below(4));
+          rearm(id, delay(), 1 + again);
+        } else {
+          world_.sim.schedule_after(delay(), [this, id] { fire(id); });
+        }
         break;
       case 1:
         world_.post_work(node, delay(), [this, id] { fire(id); });
@@ -219,6 +241,7 @@ TEST_P(EventLaneDifferential, SameFiringSequenceAsOneHeap) {
   }
   EXPECT_EQ(lanes.events, heap.events);
   EXPECT_EQ(lanes.end, heap.end);
+  EXPECT_EQ(lanes.rearms, heap.rearms);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventLaneDifferential,
@@ -233,6 +256,7 @@ TEST(EventLaneDifferentialCoverage, ProgramsReachFaultsTiesAndDeepLanes) {
   std::uint64_t crash_lost = 0;
   std::uint64_t ties = 0;
   std::uint64_t deep_lane_runs = 0;
+  std::uint64_t rearms = 0;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     const Spec spec = make_spec(seed);
     Program<LaneWorld> program{spec};
@@ -256,6 +280,7 @@ TEST(EventLaneDifferentialCoverage, ProgramsReachFaultsTiesAndDeepLanes) {
       if (outcome.fired[i].first == outcome.fired[i - 1].first) ++ties;
     }
     if (world.sim.peak_pending() > 2 * world.sim.peak_heap()) ++deep_lane_runs;
+    rearms += outcome.rearms;
   }
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(duplicated, 0u);
@@ -263,6 +288,7 @@ TEST(EventLaneDifferentialCoverage, ProgramsReachFaultsTiesAndDeepLanes) {
   EXPECT_GT(crash_lost, 0u);
   EXPECT_GT(ties, 0u);
   EXPECT_GT(deep_lane_runs, 0u);
+  EXPECT_GT(rearms, 0u);
 }
 
 TEST(EventLanes, HeapHoldsOneHeadPerLane) {
