@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/invariant.hpp"
 #include "txn/validation.hpp"
 
 namespace srbb::chains {
@@ -10,7 +11,7 @@ namespace srbb::chains {
 GossipChainNode::GossipChainNode(sim::Simulation& simulation, sim::NodeId id,
                                  sim::RegionId region, GossipChainConfig config,
                                  std::shared_ptr<node::ExecutionOracle> oracle,
-                                 const sim::GossipOverlay* overlay)
+                                 sim::GossipOverlay* overlay)
     : sim::SimNode(simulation, id, region),
       config_(std::move(config)),
       identity_(config_.scheme->make_identity(config_.self)),
@@ -69,13 +70,14 @@ void GossipChainNode::on_client_tx(sim::NodeId from, const txn::TxPtr& tx) {
 
 void GossipChainNode::on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx) {
   ++metrics_.gossip_txs_received;
+  SRBB_CHECK(overlay_ != nullptr);  // gossip travels only over the overlay
   post_work(config_.preset.costs.gossip_dedup, [this, from, tx] {
     if (crashed_) return;
-    if (seen_txs_.contains(tx->hash) || committed(tx->hash) ||
+    if (overlay_->seen_ledger().seen(id(), tx->hash) || committed(tx->hash) ||
         pool_.contains(tx->hash)) {
       return;
     }
-    seen_txs_.insert(tx->hash);
+    overlay_->seen_ledger().mark(id(), tx->hash);
     post_work(config_.preset.costs.eager_validation, [this, from, tx] {
       if (crashed_) return;
       ++metrics_.eager_validations;  // the redundant validation (§III-A)
@@ -94,7 +96,7 @@ void GossipChainNode::on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx) {
 void GossipChainNode::gossip_tx(const txn::TxPtr& tx,
                                 std::optional<sim::NodeId> skip) {
   if (overlay_ == nullptr) return;
-  seen_txs_.insert(tx->hash);
+  overlay_->seen_ledger().mark(id(), tx->hash);
   auto msg = std::make_shared<node::GossipTxMsg>();
   msg->tx = tx;
   for (const sim::NodeId peer : overlay_->peers(id())) {

@@ -61,7 +61,7 @@ class GossipChainNode : public sim::SimNode {
   GossipChainNode(sim::Simulation& simulation, sim::NodeId id,
                   sim::RegionId region, GossipChainConfig config,
                   std::shared_ptr<node::ExecutionOracle> oracle,
-                  const sim::GossipOverlay* overlay);
+                  sim::GossipOverlay* overlay);
 
   /// Attach the observability layer: pool counters/trace plus block-commit
   /// events. Either pointer may be null.
@@ -91,12 +91,11 @@ class GossipChainNode : public sim::SimNode {
   GossipChainConfig config_;
   crypto::Identity identity_;
   std::shared_ptr<node::ExecutionOracle> oracle_;
-  const sim::GossipOverlay* overlay_;
+  sim::GossipOverlay* overlay_;  // also holds this node's seen-gossip bits
 
   pool::TxPool pool_;
   /// Eager validation over cached fields; per-event paths use validate_one.
   txn::ValidationPipeline pipeline_;
-  std::unordered_set<Hash32, Hash32Hasher> seen_txs_;
   std::unordered_set<Hash32, Hash32Hasher> seen_blocks_;
   std::unordered_map<Hash32, sim::NodeId, Hash32Hasher> client_origins_;
 

@@ -385,6 +385,7 @@ RunResult run_experiment(const RunConfig& config) {
   result.sim_events = simulation.events_processed();
   result.sim_peak_heap = simulation.peak_heap();
   result.sim_peak_pending = simulation.peak_pending();
+  result.gossip_seen_rows = overlay.seen_ledger().rows();
   // Guard the observation-window division: a zero-duration run (empty
   // workload, no drain) has no rate, not an infinite one.
   const double run_seconds =

@@ -119,6 +119,9 @@ struct RunResult {
   std::uint64_t sim_events = 0;
   std::uint64_t sim_peak_heap = 0;
   std::uint64_t sim_peak_pending = 0;
+  /// Distinct transaction hashes in the run's gossip SeenLedger (0 when no
+  /// node gossips, as under TVPR). A pure function of the seed.
+  std::uint64_t gossip_seen_rows = 0;
 
   // Robustness diagnostics (fault-injected runs).
   std::vector<std::uint64_t> window_commits;  // commits per tps_window

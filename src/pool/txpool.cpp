@@ -98,17 +98,16 @@ std::vector<txn::TxPtr> TxPool::take_batch(std::size_t max_count,
 
 void TxPool::remove_committed(const std::vector<Hash32>& committed) {
   if (entries_.empty() || committed.empty()) return;
-  // One O(m) pass builds the pruning set (and drops the hashes from the
-  // index as a side effect), then one O(n) in-place sweep over the deque:
-  // O(n+m) total with a single hash lookup per element on either side.
-  std::unordered_set<Hash32, Hash32Hasher> gone;
-  gone.reserve(committed.size());
-  for (const Hash32& h : committed) {
-    if (index_.erase(h) != 0) gone.insert(h);
-  }
-  if (gone.empty()) return;
-  std::erase_if(entries_,
-                [&](const Entry& entry) { return gone.contains(entry.tx->hash); });
+  // One O(m) pass drops the committed hashes from the index, then one O(n)
+  // in-place sweep drops every entry the index no longer holds. The index and
+  // the deque held the same set before (check_coherence), so those entries
+  // are exactly the committed ones, and the sweep keeps the order.
+  std::size_t hits = 0;
+  for (const Hash32& h : committed) hits += index_.erase(h);
+  if (hits == 0) return;
+  std::erase_if(entries_, [&](const Entry& entry) {
+    return !index_.contains(entry.tx->hash);
+  });
   check_coherence();
 }
 

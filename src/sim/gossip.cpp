@@ -3,12 +3,44 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/invariant.hpp"
 #include "common/rng.hpp"
 
 namespace srbb::sim {
 
+SeenLedger::SeenLedger(std::size_t node_count)
+    : node_count_(node_count), stride_((node_count + 63) / 64) {}
+
+bool SeenLedger::seen(NodeId node, const Hash32& hash) const {
+  SRBB_CHECK(node < node_count_);
+  const auto it = row_of_.find(hash);
+  if (it == row_of_.end()) return false;
+  const std::uint64_t word = bits_[it->second * stride_ + node / 64];
+  return ((word >> (node % 64)) & 1u) != 0;
+}
+
+void SeenLedger::mark(NodeId node, const Hash32& hash) {
+  SRBB_CHECK(node < node_count_);
+  const auto [it, fresh] =
+      row_of_.try_emplace(hash, static_cast<std::uint32_t>(row_of_.size()));
+  if (fresh) {
+    SRBB_CHECK(row_of_.size() <= UINT32_MAX);
+    bits_.resize(bits_.size() + stride_, 0);
+  }
+  bits_[it->second * stride_ + node / 64] |= std::uint64_t{1} << (node % 64);
+}
+
+void SeenLedger::forget(NodeId node) {
+  SRBB_CHECK(node < node_count_);
+  const std::uint64_t keep = ~(std::uint64_t{1} << (node % 64));
+  for (std::size_t w = node / 64; w < bits_.size(); w += stride_) {
+    bits_[w] &= keep;
+  }
+}
+
 GossipOverlay::GossipOverlay(std::size_t node_count, std::size_t fanout,
-                             std::uint64_t seed) {
+                             std::uint64_t seed)
+    : seen_(node_count) {
   peers_.resize(node_count);
   if (node_count <= 1) return;
   fanout = std::min(fanout, node_count - 1);

@@ -1,15 +1,42 @@
 // Static random overlay used for per-transaction gossip in the modern-
 // blockchain protocol (Alg. 1 line 9) and for block dissemination. Each node
 // gets `fanout` distinct peers; the graph is connected by construction (a
-// random ring plus random extra edges), deterministic in the seed.
+// random ring plus random extra edges), deterministic in the seed. The
+// overlay also owns the run's SeenLedger, the gossip dedup state of every
+// node on it.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "sim/network.hpp"
 
 namespace srbb::sim {
+
+/// Which node has seen which gossiped transaction, for a whole run: one row
+/// per distinct hash, one bit per node. It answers exactly what a seen set
+/// per node answered, but holds each hash once instead of once per node
+/// (docs/PERF.md §11). Rows are never removed.
+class SeenLedger {
+ public:
+  explicit SeenLedger(std::size_t node_count);
+
+  bool seen(NodeId node, const Hash32& hash) const;
+  void mark(NodeId node, const Hash32& hash);
+  /// Clear `node`'s bit in every row, as clearing its own set would (crash).
+  void forget(NodeId node);
+
+  /// Distinct hashes marked so far; forget() keeps the rows.
+  std::size_t rows() const { return row_of_.size(); }
+
+ private:
+  std::size_t node_count_;
+  std::size_t stride_;  // words per row: ceil(node_count / 64)
+  std::unordered_map<Hash32, std::uint32_t, Hash32Hasher> row_of_;
+  std::vector<std::uint64_t> bits_;  // row r is words [r * stride_, +stride_)
+};
 
 class GossipOverlay {
  public:
@@ -18,11 +45,15 @@ class GossipOverlay {
   const std::vector<NodeId>& peers(NodeId node) const { return peers_[node]; }
   std::size_t node_count() const { return peers_.size(); }
 
+  /// The transactions each node has seen. One overlay serves one simulation.
+  SeenLedger& seen_ledger() { return seen_; }
+
   /// True when every node can reach every other (sanity check for tests).
   bool connected() const;
 
  private:
   std::vector<std::vector<NodeId>> peers_;
+  SeenLedger seen_;
 };
 
 }  // namespace srbb::sim

@@ -1,7 +1,9 @@
 #include "srbb/validator.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
+#include "common/invariant.hpp"
 #include "crypto/sha256.hpp"
 #include "txn/validation.hpp"
 
@@ -15,7 +17,7 @@ ValidatorNode::ValidatorNode(sim::Simulation& simulation, sim::NodeId id,
                              sim::RegionId region, ValidatorConfig config,
                              std::shared_ptr<ExecutionOracle> oracle,
                              std::shared_ptr<rpm::RewardPenaltyMechanism> rpm,
-                             const sim::GossipOverlay* overlay)
+                             sim::GossipOverlay* overlay)
     : sim::SimNode(simulation, id, region),
       config_(std::move(config)),
       identity_(config_.scheme->make_identity(config_.self)),
@@ -234,15 +236,17 @@ void ValidatorNode::on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx) {
   ++metrics_.gossip_txs_received;
   // Cheap dedup before the expensive validation, as Geth does. This is what
   // makes duplicated/reordered gossip (fault injection) harmless: a second
-  // copy costs one seen-set lookup, never a second validation or pool slot.
+  // copy costs one seen-ledger lookup, never a second validation or pool
+  // slot. Gossip travels only over the overlay, which owns the ledger.
+  SRBB_CHECK(overlay_ != nullptr);
   post_work(config_.costs.gossip_dedup, guarded([this, from, tx] {
-    if (seen_gossip_.contains(tx->hash) ||
+    if (overlay_->seen_ledger().seen(id(), tx->hash) ||
         oracle_->committed_below(tx->hash, next_commit_) ||
         pool_.contains(tx->hash)) {
       ++metrics_.gossip_dups_suppressed;
       return;
     }
-    seen_gossip_.insert(tx->hash);
+    overlay_->seen_ledger().mark(id(), tx->hash);
     post_work(config_.costs.eager_validation, guarded([this, from, tx] {
       ++metrics_.eager_validations;  // the redundant validation TVPR removes
       const Status valid = pipeline_.validate_one(*tx, oracle_->db());
@@ -263,7 +267,7 @@ void ValidatorNode::admit_to_pool(const txn::TxPtr& tx) {
 void ValidatorNode::gossip_tx(const txn::TxPtr& tx,
                               std::optional<sim::NodeId> skip) {
   if (overlay_ == nullptr) return;
-  seen_gossip_.insert(tx->hash);
+  overlay_->seen_ledger().mark(id(), tx->hash);
   auto msg = std::make_shared<GossipTxMsg>();
   msg->tx = tx;
   for (const sim::NodeId peer : overlay_->peers(id())) {
@@ -684,16 +688,16 @@ void ValidatorNode::crash() {
   ++metrics_.crashes;
   sync_->cancel();
 
-  // Volatile state is gone: pool, dedup sets, chain, consensus instances,
-  // decided-block store, execution state. Destroying the instances also
-  // orphans their pending timers via the alive_ sentinels. Resetting
+  // Volatile state is gone: pool, seen-gossip bits, chain, consensus
+  // instances, decided-block store, execution state. Destroying the instances
+  // also orphans their pending timers via the alive_ sentinels. Resetting
   // next_commit_ to 0 also empties the committed-transaction test
   // (oracle_->committed_below asks with this node's own height).
   pool_ = pool::TxPool(config_.pool);
   register_obs();  // the fresh pool needs its sink/counters re-attached
   round_began_at_.clear();
   decided_at_.clear();
-  seen_gossip_.clear();
+  if (overlay_ != nullptr) overlay_->seen_ledger().forget(id());
   client_origins_.clear();
   instances_.clear();
   pending_superblocks_.clear();

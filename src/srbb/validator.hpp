@@ -23,7 +23,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/superblock.hpp"
@@ -149,7 +148,7 @@ class ValidatorNode : public sim::SimNode {
                 sim::RegionId region, ValidatorConfig config,
                 std::shared_ptr<ExecutionOracle> oracle,
                 std::shared_ptr<rpm::RewardPenaltyMechanism> rpm,
-                const sim::GossipOverlay* overlay);
+                sim::GossipOverlay* overlay);
 
   /// Kick off consensus (call after all nodes are attached).
   void start();
@@ -229,13 +228,12 @@ class ValidatorNode : public sim::SimNode {
   crypto::Identity identity_;
   std::shared_ptr<ExecutionOracle> oracle_;
   std::shared_ptr<rpm::RewardPenaltyMechanism> rpm_;
-  const sim::GossipOverlay* overlay_;
+  sim::GossipOverlay* overlay_;  // also holds this node's seen-gossip bits
 
   pool::TxPool pool_;
   /// Eager validation (DESIGN.md §11): per-event paths use validate_one;
   /// recycle_undecided validates a whole undecided block with validate().
   txn::ValidationPipeline pipeline_;
-  std::unordered_set<Hash32, Hash32Hasher> seen_gossip_;
   std::unordered_map<Hash32, sim::NodeId, Hash32Hasher> client_origins_;
 
   std::map<std::uint64_t, std::unique_ptr<consensus::SuperblockInstance>>

@@ -174,20 +174,24 @@ struct ChaosNet {
 
     // Deterministic workload: fixed submission times, round-robin target.
     for (std::size_t i = 0; i < opts.tx_count; ++i) {
-      const std::size_t sender = i % opts.accounts;
-      const std::uint64_t nonce = i / opts.accounts;
       const sim::NodeId target =
           static_cast<sim::NodeId>(i % validators.size());
       const SimTime when =
           millis(100) + static_cast<SimDuration>(i) * opts.tx_interval;
-      txn::TxParams params;
-      params.nonce = nonce;
-      params.to = scheme().make_identity(5).address();
-      params.value = U256{100};
-      const txn::TxPtr tx = txn::make_tx_ptr(
-          txn::make_signed(params, senders[sender], scheme()));
+      const txn::TxPtr tx = workload_tx(i);
       sim.schedule_at(when, [this, target, tx] { client->submit(target, tx); });
     }
+  }
+
+  /// The i-th transfer of the deterministic workload: sender i mod accounts,
+  /// with that sender's next nonce.
+  txn::TxPtr workload_tx(std::size_t i) const {
+    txn::TxParams params;
+    params.nonce = i / senders.size();
+    params.to = scheme().make_identity(5).address();
+    params.value = U256{100};
+    return txn::make_tx_ptr(
+        txn::make_signed(params, senders[i % senders.size()], scheme()));
   }
 
   void run_until(SimTime deadline) { sim.run_until(deadline); }
@@ -653,6 +657,92 @@ TEST(ChaosGossip, SlowProposerRecyclingSkipsTransactionsJustCommitted) {
     net.expect_no_divergence();
   }
   EXPECT_GT(recycled, 0u);  // undecided blocks were recycled
+}
+
+// Gossip mode with a crash. The run's one SeenLedger holds every
+// validator's seen-gossip bits: a crash must clear the crashed validator's
+// column, as wiping its own seen set did, and leave its peers' bits alone.
+// The workload goes out in two halves, before the crash and after the
+// restart, so no transaction is lost to the downtime and all must commit.
+TEST(ChaosGossip, CrashRestartForgetsOnlyItsOwnBits) {
+  static constexpr std::size_t kBefore = 24;  // submitted 100..1020 ms
+  static constexpr std::size_t kTotal = 48;   // the rest from 3.5 s
+  static constexpr sim::NodeId kVictim = 1;
+  const auto run = [] {
+    ChaosOptions opts;
+    opts.tvpr = false;
+    opts.tx_count = kBefore;
+    opts.plan.crashes.push_back({kVictim, millis(1500), seconds(3)});
+    ChaosNet net{opts};
+    std::vector<Hash32> hashes;
+    for (std::size_t i = 0; i < kTotal; ++i) {
+      const txn::TxPtr tx = net.workload_tx(i);
+      hashes.push_back(tx->hash);
+      if (i < kBefore) continue;
+      const auto target = static_cast<sim::NodeId>(i % net.validators.size());
+      const SimTime when = millis(3500) + (i - kBefore) * millis(40);
+      net.sim.schedule_at(when, [&net, target, tx] {
+        net.client->submit(target, tx);
+      });
+    }
+    // bits[node][i]: has validator `node` seen transaction i?
+    using Bits = std::vector<std::vector<bool>>;
+    const auto snapshot = [&net, &hashes] {
+      Bits bits(net.validators.size());
+      for (sim::NodeId node = 0; node < bits.size(); ++node) {
+        for (const Hash32& hash : hashes) {
+          bits[node].push_back(net.overlay.seen_ledger().seen(node, hash));
+        }
+      }
+      return bits;
+    };
+    const auto count = [](const std::vector<bool>& row) {
+      return std::count(row.begin(), row.end(), true);
+    };
+    Bits before;
+    Bits after;
+    // The crash event was scheduled first, so at 1500 ms it fires first.
+    net.sim.schedule_at(millis(1499), [&] { before = snapshot(); });
+    net.sim.schedule_at(millis(1500), [&] {
+      EXPECT_TRUE(net.validators[kVictim]->crashed());
+      after = snapshot();
+    });
+    net.run_until(seconds(9));
+
+    EXPECT_GT(count(before[kVictim]), 0);
+    EXPECT_EQ(count(after[kVictim]), 0) << "the crashed validator kept bits";
+    for (sim::NodeId node = 0; node < before.size(); ++node) {
+      if (node == kVictim) continue;
+      EXPECT_GT(count(before[node]), 0);
+      for (std::size_t i = 0; i < kTotal; ++i) {
+        if (before[node][i]) {
+          EXPECT_TRUE(after[node][i])
+              << "validator " << node << " lost its bit for tx " << i;
+        }
+      }
+    }
+    // After the restart the victim sees, and marks, the second half again.
+    const std::vector<bool> end = snapshot()[kVictim];
+    EXPECT_GT(std::count(end.begin() + kBefore, end.end(), true), 0);
+
+    ValidatorNode& victim = *net.validators[kVictim];
+    EXPECT_EQ(victim.metrics().crashes, 1u);
+    EXPECT_FALSE(victim.crashed());
+    EXPECT_FALSE(victim.syncing()) << "catch-up sync never finished";
+    for (sim::NodeId node = 0; node < net.validators.size(); ++node) {
+      const ValidatorNode& validator = *net.validators[node];
+      EXPECT_EQ(validator.chain_height(), net.validators[0]->chain_height());
+      // Every transaction commits exactly once (a copy that several
+      // proposers put in one superblock is discarded, not counted). The
+      // victim's counters also count its catch-up replay, so only its chain
+      // counts.
+      if (node == kVictim) continue;
+      EXPECT_EQ(validator.metrics().txs_committed_valid, kTotal) << node;
+    }
+    net.expect_no_divergence();
+    return net.fingerprint();
+  };
+  EXPECT_EQ(run(), run());
 }
 
 TEST(ChaosDeterminism, IdenticalSeedsProduceIdenticalRuns) {

@@ -108,6 +108,33 @@ TEST(TxPool, RemoveCommittedUnknownHashesIsNoop) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
+TEST(TxPool, RemoveCommittedRepeatedAbsentInterleavedKeepsOrder) {
+  TxPool pool;
+  std::vector<txn::TxPtr> txs;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    txs.push_back(tx_ptr(i % 3, i));
+    pool.add(txs.back(), 0);
+  }
+  Hash32 ghost;
+  ghost[0] = 0xff;
+  Hash32 ghost2;
+  ghost2[31] = 0x01;
+  // Committed hashes repeat, include two the pool never held, and alternate
+  // with entries that stay pending.
+  pool.remove_committed({txs[1]->hash, ghost, txs[4]->hash, txs[1]->hash,
+                         txs[6]->hash, txs[4]->hash, ghost2});
+  ASSERT_EQ(pool.size(), 5u);
+  for (const std::size_t gone : {1u, 4u, 6u}) {
+    EXPECT_FALSE(pool.contains(txs[gone]->hash));
+  }
+  const auto batch = pool.take_batch(10, 0, 0);
+  const std::vector<txn::TxPtr> kept{txs[0], txs[2], txs[3], txs[5], txs[7]};
+  EXPECT_EQ(batch, kept);
+  EXPECT_TRUE(pool.empty());
+  // The index forgot the committed ones, so they can be admitted again.
+  EXPECT_EQ(pool.add(txs[4], 0), TxPool::AddResult::kAdded);
+}
+
 TEST(TxPool, TakenTxCanBeReadded) {
   // Alg. 1 line 31: undecided-block transactions go back into the pool.
   TxPool pool;

@@ -25,15 +25,20 @@
 #      rounds (tests/oracle_sha256.hpp). Without SHA-NI the SHA half prints
 #      "skipped: no SHA-NI";
 #   8. the event heap holds lane heads, not pending events: srbb-sim's
-#      sim_peak_heap in the two gate-6 runs stays under
-#      4 x (validators + clients). The count is exact, so this gate has no
-#      noise; one heap entry per pending event overshoots it by orders of
-#      magnitude;
+#      sim_peak_heap stays under 4 x (validators + clients) in the two
+#      gate-6 runs and in one EVM+DBFT FIFA run at scale 0.05 (n = 10),
+#      which peaks at 783,737 pending events. The count is exact, so this
+#      gate has no noise; one heap entry per pending event overshoots it by
+#      orders of magnitude;
 #   9. events allocate nothing per event: bench_micro_sim's allocs_per_event
 #      (operator new calls, counted by that binary) stays under 0.25 on
 #      BM_EventLoopScheduleRun and on BM_PostWorkFifoCaptured, whose closure
 #      has the validator's 48-byte shape. The count is exact, so this gate
-#      has no noise; a std::function per event makes it at least 1.
+#      has no noise; a std::function per event makes it at least 1;
+#  10. gossip dedup state is one row per transaction, not one entry per
+#      node and transaction: in the EVM+DBFT run of gate 8, srbb-sim's
+#      gossip_seen_rows (distinct hashes in the run's SeenLedger) is at
+#      most the transactions sent. Exact, so no noise.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -80,6 +85,9 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
       "$out/sim_$scale.json" "$build_dir/tools/srbb-sim" --system srbb \
       --workload fifa --scale "$scale" --json > "$out/rss_$scale.txt"
 done
+# The EVM+DBFT baseline on FIFA (gates 8 and 10).
+"$build_dir/tools/srbb-sim" --system evmdbft --workload fifa --scale 0.05 \
+    --json > "$out/sim_evmdbft_0.05.json"
 
 python3 - "$out" <<'EOF'
 import json
@@ -184,21 +192,22 @@ if hashes["BM_Sha256/4096"]["shani"]:
 else:
     print("  sha256-4096 / portable-sha256-4096: skipped: no SHA-NI")
 
-# 8. Event-heap size, SRBB FIFA at n = 10 and n = 20. The heap holds the
-#    free-form timers plus one head per non-empty lane (a node's CPU, a
-#    receiver's NIC, a client's schedule), so it scales with the node count.
-#    Measured 42 and 71 with lanes; one heap entry per pending event peaked
-#    at 32,676 and 73,120. Deterministic, so the bound is exact.
-for scale in ("0.05", "0.1"):
-    with open(f"{out}/sim_{scale}.json") as fh:
+# 8. Event-heap size, SRBB FIFA at n = 10 and n = 20 and EVM+DBFT FIFA at
+#    n = 10. The heap holds the free-form timers plus one head per non-empty
+#    lane (a node's CPU, a receiver's NIC, a client's schedule), so it
+#    scales with the node count. Measured 42, 71 and 41 with lanes; one heap
+#    entry per pending event peaked at 32,676, 73,120 and 783,737.
+#    Deterministic, so the bound is exact.
+for tag in ("0.05", "0.1", "evmdbft_0.05"):
+    with open(f"{out}/sim_{tag}.json") as fh:
         run = json.load(fh)
     bound = 4 * (run["validators"] + run["clients"])
     heap = run["sim_peak_heap"]
     status = "ok" if heap < bound else "FAIL"
-    print(f"  fifa-scale{scale} sim_peak_heap: {heap} (must be < {bound}; "
+    print(f"  fifa-{tag} sim_peak_heap: {heap} (must be < {bound}; "
           f"peak pending events {run.get('sim_peak_pending')}) [{status}]")
     if status == "FAIL":
-        failures.append(f"peak-heap-scale{scale}")
+        failures.append(f"peak-heap-{tag}")
 
 # 9. Heap blocks per event. sim::Task keeps each closure inline; what is
 #    left is the timer and lane containers' growth, measured 0.02 (1,000
@@ -211,6 +220,20 @@ for name, allocs in load("sim.json", field="allocs_per_event").items():
           f"[{status}]")
     if status == "FAIL":
         failures.append(f"allocs-{name}")
+
+# 10. Gossip seen state, EVM+DBFT FIFA at n = 10: one SeenLedger row per
+#     distinct gossiped hash, and only sent transactions are gossiped.
+#     Measured 31,347 rows for 31,347 sent; the per-node sets it replaced
+#     held up to n x rows = 313,470 entries. Zero rows would mean the run
+#     never gossiped. Deterministic, so the bound is exact.
+with open(f"{out}/sim_evmdbft_0.05.json") as fh:
+    run = json.load(fh)
+rows, sent = run["gossip_seen_rows"], run["sent"]
+status = "ok" if 0 < rows <= sent else "FAIL"
+print(f"  evmdbft-fifa gossip_seen_rows: {rows} (must be in (0, {sent}]) "
+      f"[{status}]")
+if status == "FAIL":
+    failures.append("gossip-seen-rows")
 
 if failures:
     print(f"perf_smoke: FAILED ({', '.join(failures)})")
