@@ -152,14 +152,66 @@ void BM_StateRoot(benchmark::State& state) {
     db.add_balance(a, U256{static_cast<std::uint64_t>(i)});
   }
   for (auto _ : state) {
-    // Dirty one account so each iteration measures a full recompute rather
-    // than the memoized fast path (BM_StateRootMemoized covers that).
+    // Dirty one account so each iteration measures a recompute rather than
+    // the memoized fast path (BM_StateRootMemoized covers that): one head
+    // re-encoded, then every account's bytes hashed.
     db.add_balance(addr(1), U256{1});
     benchmark::DoNotOptimize(db.state_root());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StateRoot)->Arg(100)->Arg(1000);
+
+// The root after k writes on a FIFA-shaped state: 10,000 accounts plus one
+// contract with 50,000 slots. Each iteration makes k writes (alternately an
+// account balance and a fresh value in a contract slot), commits, and takes
+// the root; only the root is timed. ns_per_write is root time per write: a
+// root costs the changed records plus one hash pass over the image, so it
+// falls as k grows.
+void BM_StateRootAfterWrites(benchmark::State& state) {
+  constexpr std::uint32_t kAccounts = 10'000;
+  constexpr std::uint32_t kSlots = 50'000;
+  const auto account = [](std::uint32_t i) {
+    Address a;
+    put_be32(a.data.data(), i * 2'654'435'761u);  // spread over the order
+    return a;
+  };
+  const auto slot = [](std::uint32_t i) {
+    Hash32 key;
+    put_be32(key.data.data(), i * 2'246'822'519u);
+    return key;
+  };
+  state::StateDB db;
+  for (std::uint32_t i = 0; i < kAccounts; ++i) {
+    db.add_balance(account(i), U256{i + 1});
+  }
+  const Address contract = addr(7);
+  db.set_code(contract, Bytes{0x00});
+  for (std::uint32_t i = 0; i < kSlots; ++i) {
+    db.set_storage(contract, slot(i), U256{i + 1});
+  }
+  db.commit();
+  benchmark::DoNotOptimize(db.state_root());
+  const auto writes = static_cast<std::uint32_t>(state.range(0));
+  std::uint32_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::uint32_t w = 0; w < writes; ++w, ++next) {
+      if (w % 2 == 0) {
+        db.add_balance(account(next % kAccounts), U256{1});
+      } else {
+        db.set_storage(contract, slot(next % kSlots), U256{next + 1});
+      }
+    }
+    db.commit();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(db.state_root());
+  }
+  state.counters["ns_per_write"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * writes * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StateRootAfterWrites)->Arg(10)->Arg(1000);
 
 void BM_StateRootMemoized(benchmark::State& state) {
   // Repeated calls with no intervening writes hit the dirty-flag cache —

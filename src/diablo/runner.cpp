@@ -178,6 +178,8 @@ RunResult run_experiment(const RunConfig& config) {
   evm::BlockContext block_template;
   auto shared_oracle =
       std::make_shared<node::ExecutionOracle>(genesis, block_template, scheme());
+  // Every oracle that executes: the shared one, or one per validator.
+  std::vector<std::shared_ptr<node::ExecutionOracle>> oracles;
 
   // --- validators -----------------------------------------------------------
   rpm::RpmConfig rpm_config;
@@ -194,6 +196,7 @@ RunResult run_experiment(const RunConfig& config) {
                       ? std::make_shared<node::ExecutionOracle>(
                             genesis, block_template, scheme())
                       : shared_oracle;
+    if (oracles.empty() || oracles.back() != oracle) oracles.push_back(oracle);
     if (config.kind == SystemKind::kModern) {
       chains::GossipChainConfig node_config;
       node_config.n = n;
@@ -386,6 +389,13 @@ RunResult run_experiment(const RunConfig& config) {
   result.sim_peak_heap = simulation.peak_heap();
   result.sim_peak_pending = simulation.peak_pending();
   result.gossip_seen_rows = overlay.seen_ledger().rows();
+  for (const auto& oracle : oracles) {
+    const state::StateDB::RootWork work = oracle->db().root_work();
+    result.state_roots += work.roots;
+    result.state_root_records += work.records;
+    result.state_root_bytes += work.bytes;
+    result.state_records += oracle->db().root_records();
+  }
   // Guard the observation-window division: a zero-duration run (empty
   // workload, no drain) has no rate, not an infinite one.
   const double run_seconds =

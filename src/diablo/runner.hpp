@@ -122,6 +122,15 @@ struct RunResult {
   /// Distinct transaction hashes in the run's gossip SeenLedger (0 when no
   /// node gossips, as under TVPR). A pure function of the seed.
   std::uint64_t gossip_seen_rows = 0;
+  /// State-root work summed over the run's execution oracles
+  /// (StateDB::RootWork): recomputed roots, records encoded (account heads
+  /// plus slot entries merged) and bytes hashed, and the records the last
+  /// root commits to (live accounts plus slots). Pure functions of the
+  /// seed; they never feed the simulation.
+  std::uint64_t state_roots = 0;
+  std::uint64_t state_root_records = 0;
+  std::uint64_t state_root_bytes = 0;
+  std::uint64_t state_records = 0;
 
   // Robustness diagnostics (fault-injected runs).
   std::vector<std::uint64_t> window_commits;  // commits per tps_window

@@ -1,6 +1,7 @@
 #include "state/statedb.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 #include <utility>
 
@@ -16,7 +17,117 @@ const Bytes kEmptyCode;
 Hash32 keccak_of_code(const Bytes& code) {
   return code.empty() ? Hash32{} : crypto::Keccak256::hash(code);
 }
+
+// Root image records (docs/STATE.md "The root image"). Every field is
+// big-endian, so byte order is key order and memcmp compares keys.
+constexpr std::size_t kHeadBytes = 20 + 8 + 32 + 32;  // addr nonce bal code
+constexpr std::size_t kSlotBytes = 32 + 32;           // key value
+
+/// First record at or after `lo` in `run` (`width`-byte records sorted by
+/// their first `key` bytes) whose key is not below `probe`'s. Gallops from
+/// `lo` before bisecting: sorted probes land near the previous one, so the
+/// search stays on nearby cache lines.
+std::size_t lower_bound_record(const Bytes& run, std::size_t width,
+                               std::size_t key, std::size_t lo,
+                               const std::uint8_t* probe) {
+  const std::size_t n = run.size() / width;
+  const auto below = [&](std::size_t i) {
+    return std::memcmp(&run[i * width], probe, key) < 0;
+  };
+  std::size_t hi = lo;
+  for (std::size_t step = 1; hi < n && below(hi); step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  hi = std::min(hi, n);
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (below(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
+
+/// Sort `keys` and drop repeats.
+void sort_unique(std::vector<Hash32>& keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
+/// Sorted, unique edits to a run of records: each replaces or inserts the
+/// record with its key, or, when `erase` is set, removes it.
+struct RunEdits {
+  Bytes records;
+  std::vector<bool> erase;
+};
+
+/// Apply `edits` to `run` in place. Each edit finds its place by galloping
+/// search; replacements are written there, and the records between two
+/// removals or two insertions move as one block, so a patch costs
+/// O(edits · log run) compares plus at most one memmove pass over the run.
+void patch_run(Bytes& run, std::size_t width, std::size_t key,
+               const RunEdits& edits) {
+  const auto at = [&](std::size_t i) { return &run[i * width]; };
+  const auto edit = [&](std::size_t j) { return &edits.records[j * width]; };
+  std::size_t n = run.size() / width;
+  std::vector<std::size_t> erased;                           // positions
+  std::vector<std::pair<std::size_t, std::size_t>> inserts;  // (pos, edit)
+  std::size_t pos = 0;
+  for (std::size_t j = 0; j < edits.erase.size(); ++j) {
+    pos = lower_bound_record(run, width, key, pos, edit(j));
+    if (pos < n && std::memcmp(at(pos), edit(j), key) == 0) {
+      if (edits.erase[j]) {
+        erased.push_back(pos);
+      } else {
+        std::memcpy(at(pos), edit(j), width);
+      }
+    } else if (!edits.erase[j]) {
+      inserts.emplace_back(pos, j);
+    }
+  }
+  if (!erased.empty()) {
+    std::size_t out = erased[0];
+    for (std::size_t k = 0; k < erased.size(); ++k) {
+      const std::size_t from = erased[k] + 1;
+      const std::size_t to = k + 1 < erased.size() ? erased[k + 1] : n;
+      std::memmove(at(out), at(from), (to - from) * width);
+      out += to - from;
+    }
+    n = out;
+    std::size_t before = 0;  // removals left of each insertion point
+    for (auto& [insert_at, j] : inserts) {
+      while (before < erased.size() && erased[before] < insert_at) ++before;
+      insert_at -= before;
+    }
+  }
+  run.resize((n + inserts.size()) * width);
+  // Right to left: the k-th insertion point's tail moves right by k.
+  std::size_t end = n;
+  for (std::size_t k = inserts.size(); k > 0; --k) {
+    const auto [insert_at, j] = inserts[k - 1];
+    std::memmove(at(insert_at + k), at(insert_at), (end - insert_at) * width);
+    std::memcpy(at(insert_at + k - 1), edit(j), width);
+    end = insert_at;
+  }
+}
+
+void encode_head(const Address& addr, const Account& acc, std::uint8_t* out) {
+  std::memcpy(out, addr.data.data(), 20);
+  put_be64(out + 20, acc.nonce);
+  acc.balance.to_be(out + 28);
+  const Hash32& code_hash =
+      acc.code.empty() ? empty_code_keccak() : acc.code_keccak;
+  std::memcpy(out + 60, code_hash.data.data(), 32);
+}
+
+void encode_slot(const Hash32& key, const U256& value, std::uint8_t* out) {
+  std::memcpy(out, key.data.data(), 32);
+  value.to_be(out + 32);
+}
+}  // namespace
 
 const Hash32& empty_code_keccak() {
   static const Hash32 hash = crypto::Keccak256::hash(BytesView{});
@@ -28,6 +139,11 @@ StateDB::StateDB(StateConfig config, std::shared_ptr<StorageBackend> backend)
   SRBB_CHECK(backend_ != nullptr);
   snapshot_.set_capacity(config.snapshot_capacity);
   live_count_ = backend_->size();  // reopen: backend records are the state
+  // The image starts empty, so the first root encodes every record the
+  // backend already holds.
+  for (const Address& addr : backend_->keys()) {
+    root_log_[addr].rebuild = true;
+  }
 }
 
 // --- read path --------------------------------------------------------------
@@ -91,21 +207,6 @@ const Account* StateDB::resolve(const Address& addr, Account& scratch) const {
   SRBB_CHECK(account.has_value());
   scratch = std::move(*account);
   return &scratch;
-}
-
-std::vector<Address> StateDB::live_addresses() const {
-  std::vector<Address> out;
-  out.reserve(account_count());
-  for (const auto& [addr, acc] : accounts_) out.push_back(addr);
-  if (backend_ != nullptr) {
-    for (const Address& addr : backend_->keys()) {
-      if (!accounts_.contains(addr) && !deleted_.contains(addr)) {
-        out.push_back(addr);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 bool StateDB::account_exists(const Address& addr) const {
@@ -256,6 +357,10 @@ void StateDB::revert_to(Snapshot snapshot) {
   // were already reverted) means call-frame bookkeeping is corrupt.
   SRBB_CHECK(snapshot <= journal_.size());
   if (journal_.size() > snapshot) root_dirty_ = true;
+  // A root taken since these writes has them in its image; the next one
+  // must re-encode what the undo restores.
+  log_for_root(std::span{journal_}.subspan(snapshot));
+  root_logged_ = std::min(root_logged_, snapshot);
   while (journal_.size() > snapshot) {
     JournalEntry& entry = journal_.back();
     // Every undo except account (re)creation targets an account the journal
@@ -358,43 +463,131 @@ void StateDB::commit() {
       ++evictions_;
     }
   }
+  log_for_root(std::span{journal_}.subspan(root_logged_));
+  root_logged_ = 0;
   journal_.clear();
 }
 
 // --- commitment -------------------------------------------------------------
 
-Hash32 StateDB::state_root() const {
-  if (!root_dirty_) return root_cache_;
-  const std::vector<Address> addresses = live_addresses();
-
-  crypto::Sha256 root;
-  Account scratch;
-  std::uint8_t word[32];
-  std::vector<std::pair<Hash32, const U256*>> slots;
-  for (const Address& addr : addresses) {
-    const Account* resolved = resolve(addr, scratch);
-    SRBB_CHECK(resolved != nullptr);
-    const Account& acc = *resolved;
-    root.update(addr.view());
-    put_be64(word, acc.nonce);
-    root.update(BytesView{word, 8});
-    acc.balance.to_be(word);
-    root.update(BytesView{word, 32});
-    root.update(acc.code.empty() ? empty_code_keccak().view()
-                                 : acc.code_keccak.view());
-
-    slots.clear();
-    for (const auto& [key, value] : acc.storage) slots.emplace_back(key, &value);
-    std::sort(slots.begin(), slots.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, value] : slots) {
-      root.update(key.view());
-      value->to_be(word);
-      root.update(BytesView{word, 32});
+void StateDB::log_for_root(std::span<const JournalEntry> entries) const {
+  for (const JournalEntry& entry : entries) {
+    RootTouch& touch = root_log_[entry.addr];
+    if (entry.op == Op::kCreateAccount || entry.op == Op::kDeleteAccount) {
+      touch.rebuild = true;
+    } else if (entry.op == Op::kStorageChange) {
+      touch.slots.push_back(entry.key);
+      if (touch.slots.size() >= touch.compact_at) {
+        sort_unique(touch.slots);
+        touch.compact_at = 2 * touch.slots.size() + RootTouch::kMinCompact;
+      }
     }
   }
+}
+
+void StateDB::patch_root_image() const {
+  std::vector<std::pair<Address, RootTouch*>> touched;
+  touched.reserve(root_log_.size());
+  for (auto& [addr, touch] : root_log_) {
+    touched.emplace_back(addr, &touch);
+  }
+  std::sort(touched.begin(), touched.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  RunEdits heads;
+  heads.records.resize(touched.size() * kHeadBytes);
+  RunEdits slots;
+  std::vector<std::pair<Hash32, const U256*>> sorted;
+  Account scratch;
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    const auto& [addr, touch] = touched[i];
+    std::uint8_t* head = &heads.records[i * kHeadBytes];
+    const Account* acc = resolve(addr, scratch);
+    heads.erase.push_back(acc == nullptr);
+    if (acc == nullptr) {
+      std::memcpy(head, addr.data.data(), 20);  // the key is all an erase needs
+      root_slots_.erase(addr);
+      continue;
+    }
+    encode_head(addr, *acc, head);
+    ++root_work_.records;
+    if (touch->rebuild) {
+      // Created or deleted since the last root: its old slot run, if any,
+      // belongs to a previous incarnation, so encode the storage afresh.
+      sorted.clear();
+      for (const auto& [key, value] : acc->storage) {
+        sorted.emplace_back(key, &value);
+      }
+      std::sort(sorted.begin(), sorted.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      root_work_.records += sorted.size();
+      if (sorted.empty()) {
+        root_slots_.erase(addr);
+        continue;
+      }
+      Bytes& run = root_slots_[addr];
+      run.resize(sorted.size() * kSlotBytes);
+      for (std::size_t k = 0; k < sorted.size(); ++k) {
+        encode_slot(sorted[k].first, *sorted[k].second, &run[k * kSlotBytes]);
+      }
+    } else if (!touch->slots.empty()) {
+      std::vector<Hash32>& keys = touch->slots;
+      sort_unique(keys);
+      slots.records.resize(keys.size() * kSlotBytes);
+      slots.erase.clear();
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        const auto it = acc->storage.find(keys[k]);
+        // A slot the map no longer holds was zeroed: it drops out.
+        slots.erase.push_back(it == acc->storage.end());
+        encode_slot(keys[k], slots.erase.back() ? U256::zero() : it->second,
+                    &slots.records[k * kSlotBytes]);
+      }
+      Bytes& run = root_slots_[addr];
+      patch_run(run, kSlotBytes, 32, slots);
+      root_work_.records += keys.size();
+      if (run.empty()) root_slots_.erase(addr);
+    }
+  }
+  patch_run(root_heads_, kHeadBytes, 20, heads);
+  root_log_.clear();
+}
+
+std::size_t StateDB::root_records() const {
+  std::size_t records = root_heads_.size() / kHeadBytes;
+  for (const auto& [addr, run] : root_slots_) records += run.size() / kSlotBytes;
+  return records;
+}
+
+Hash32 StateDB::state_root() const {
+  if (!root_dirty_) return root_cache_;
+  log_for_root(std::span{journal_}.subspan(root_logged_));
+  root_logged_ = journal_.size();
+  patch_root_image();
+
+  // The stream is each head followed by its account's slot run, so the
+  // heads between two accounts with storage hash as one contiguous update.
+  crypto::Sha256 root;
+  const auto hash = [&](BytesView bytes) {
+    root.update(bytes);
+    root_work_.bytes += bytes.size();
+  };
+  const std::size_t heads = root_heads_.size() / kHeadBytes;
+  std::size_t from = 0;
+  for (const auto& [addr, run] : root_slots_) {
+    // Only live accounts keep slot runs, so the head is there.
+    const std::size_t at =
+        lower_bound_record(root_heads_, kHeadBytes, 20, from, addr.data.data());
+    SRBB_CHECK(at < heads && std::memcmp(&root_heads_[at * kHeadBytes],
+                                         addr.data.data(), 20) == 0);
+    hash(BytesView{root_heads_}.subspan(from * kHeadBytes,
+                                        (at + 1 - from) * kHeadBytes));
+    hash(run);
+    from = at + 1;
+  }
+  hash(BytesView{root_heads_}.subspan(from * kHeadBytes));
   root_cache_ = root.finish();
   root_dirty_ = false;
+  ++root_work_.roots;
   return root_cache_;
 }
 

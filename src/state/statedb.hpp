@@ -22,8 +22,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -146,12 +148,26 @@ class StateDB final : public StateView {
   /// address order, each account's address, nonce, balance and code_keccak,
   /// then its non-zero storage slots in key order. Two replicas that
   /// executed the same blocks produce identical roots; this is the only
-  /// state commitment (docs/STATE.md). O(n log n) per recompute; the
+  /// state commitment (docs/STATE.md). The hashed bytes are kept as a
+  /// sorted image that each recompute patches from the journal, so a
+  /// recompute costs O(changed records · log + state bytes hashed); the
   /// result is memoized and reused until the next journaled write, so
   /// back-to-back calls (oracle indexing, convergence tests) are O(1).
   /// Identical across modes for the same logical state. Not safe to call
   /// concurrently with writes or with itself.
   Hash32 state_root() const;
+
+  /// Work done by state_root() since construction: pure functions of the
+  /// writes, never host time (docs/OBSERVABILITY.md).
+  struct RootWork {
+    std::uint64_t roots = 0;    // recomputes (memo hits are not counted)
+    std::uint64_t records = 0;  // account heads encoded + slot entries merged
+    std::uint64_t bytes = 0;    // bytes fed to SHA-256
+  };
+  RootWork root_work() const { return root_work_; }
+  /// Records the last recomputed root commits to: its live accounts plus
+  /// their non-zero slots.
+  std::size_t root_records() const;
 
   // --- introspection (obs wiring, tests) ---
   struct BackingStats {
@@ -227,8 +243,25 @@ class StateDB final : public StateView {
   /// Resolve an account without touching the resident cache: returns the
   /// resident pointer, or decodes the backend record into `scratch`.
   const Account* resolve(const Address& addr, Account& scratch) const;
-  /// Every live address, ascending (resident ∪ backend − pending deletes).
-  std::vector<Address> live_addresses() const;
+
+  // --- root image (docs/STATE.md "The root image") ---
+  /// What the next root must re-encode for one account: always its head;
+  /// its whole slot run when it was created or deleted (`rebuild`), else
+  /// the slots in `slots`. `slots` may repeat keys; it is deduplicated at
+  /// each root and whenever it reaches `compact_at`, so it stays bounded by
+  /// the slots written. The first compaction waits for kMinCompact keys,
+  /// so the slots a hot contract rewrites between two roots are sorted
+  /// once, at the root, not at every doubling.
+  struct RootTouch {
+    static constexpr std::size_t kMinCompact = std::size_t{1} << 14;
+    bool rebuild = false;
+    std::vector<Hash32> slots;
+    std::size_t compact_at = kMinCompact;
+  };
+  /// Note in the root log what `entries` touched.
+  void log_for_root(std::span<const JournalEntry> entries) const;
+  /// Bring the image up to the current state from the root log.
+  void patch_root_image() const;
 
   std::shared_ptr<StorageBackend> backend_;
   // accounts_ is mutable because backend-mode fault-in populates it from
@@ -244,6 +277,21 @@ class StateDB final : public StateView {
   // state_root() memoization: any journaled write (or revert) invalidates.
   mutable Hash32 root_cache_;
   mutable bool root_dirty_ = true;
+  // The root's byte stream as of the last recompute. root_heads_ holds one
+  // 92-byte head (address, nonce, balance, code hash) per live account in
+  // address order; root_slots_ holds, for each account with storage, its
+  // non-zero slots as 64-byte (key, value) records in key order. The stream
+  // is each head followed by its account's slot run.
+  mutable Bytes root_heads_;
+  mutable std::map<Address, Bytes> root_slots_;
+  // The root log: what changed since the last recompute, from the entries
+  // commit() drops and revert_to() undoes and, for a backend reopen, every
+  // live account. Keyed, so it stays bounded by the records touched.
+  mutable std::unordered_map<Address, RootTouch, AddressHasher> root_log_;
+  // Live journal entries [0, root_logged_) are already in the root log or
+  // in the image, so commit() and state_root() log only the rest.
+  mutable std::size_t root_logged_ = 0;
+  mutable RootWork root_work_;
   mutable RelaxedCounter hits_;
   mutable RelaxedCounter misses_;
   mutable RelaxedCounter faults_;

@@ -6,11 +6,13 @@ namespace srbb::txn {
 
 namespace {
 
-/// The one execution path: `sender`, `signing_hash` and `id` are the
-/// transaction's digests, computed by whoever holds them.
+/// The one execution path: `sender`, `signing_hash`, `id` and `intrinsic`
+/// (its intrinsic gas) are the transaction's derived values, computed by
+/// whoever holds them.
 Result<Receipt> execute(const Transaction& tx, const Address& sender,
                         const Hash32& signing_hash, const Hash32& id,
-                        state::StateView& db, const evm::BlockContext& block,
+                        std::uint64_t intrinsic, state::StateView& db,
+                        const evm::BlockContext& block,
                         const ExecutionConfig& config) {
   // Pull the two accounts every transaction touches into the resident cache
   // before validation starts (no-op on fully resident states), so the reads
@@ -18,7 +20,9 @@ Result<Receipt> execute(const Transaction& tx, const Address& sender,
   db.prefetch(sender);
   if (tx.kind != TxKind::kDeploy) db.prefetch(tx.to);
   // Lazy validation: checks (iii)-(v). Failure -> invalid, no transition.
-  if (Status lazy = lazy_validate(tx, sender, db); !lazy) return lazy;
+  if (Status lazy = lazy_validate(tx, sender, intrinsic, db); !lazy) {
+    return lazy;
+  }
   // Check (i): signature, raised as an execution-time error when an invalid
   // transaction slipped past (only possible when eager validation was skipped
   // or forged by a Byzantine proposer).
@@ -36,8 +40,6 @@ Result<Receipt> execute(const Transaction& tx, const Address& sender,
     return Status::error("exec: cannot buy gas");
   }
   db.increment_nonce(sender);
-
-  const std::uint64_t intrinsic = intrinsic_gas(tx);
 
   evm::TxContext tx_ctx;
   tx_ctx.origin = sender;
@@ -85,15 +87,15 @@ Result<Receipt> execute(const Transaction& tx, const Address& sender,
 Result<Receipt> apply_transaction(const CachedTx& tx, state::StateView& db,
                                   const evm::BlockContext& block,
                                   const ExecutionConfig& config) {
-  return execute(tx.tx, tx.sender, tx.signing_hash, tx.hash, db, block,
-                 config);
+  return execute(tx.tx, tx.sender, tx.signing_hash, tx.hash, tx.intrinsic_gas,
+                 db, block, config);
 }
 
 Result<Receipt> apply_transaction(const Transaction& tx, state::StateView& db,
                                   const evm::BlockContext& block,
                                   const ExecutionConfig& config) {
-  return execute(tx, tx.sender(), tx.signing_hash(), tx.hash(), db, block,
-                 config);
+  return execute(tx, tx.sender(), tx.signing_hash(), tx.hash(),
+                 intrinsic_gas(tx), db, block, config);
 }
 
 }  // namespace srbb::txn

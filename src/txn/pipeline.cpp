@@ -16,7 +16,7 @@ Status structural_check(const CachedTx& cached,
     return Status::error("eager: transaction exceeds size limit");
   }
   if (cached.tx.gas_limit < config.min_gas_limit ||
-      cached.tx.gas_limit < intrinsic_gas(cached.tx)) {
+      cached.tx.gas_limit < cached.intrinsic_gas) {
     return Status::error("eager: gas limit below intrinsic cost");
   }
   return Status::ok();
@@ -49,7 +49,7 @@ Status state_check(const CachedTx& cached, const state::StateView& db,
     if (!code.empty()) {
       const auto composed = evm::analysis::InterprocCache::global().get(
           db, tx.to, *config.analysis_cache);
-      const std::uint64_t budget = tx.gas_limit - intrinsic_gas(tx);
+      const std::uint64_t budget = tx.gas_limit - cached.intrinsic_gas;
       if (composed->min_gas ==
               evm::analysis::AnalysisResult::kNoSuccessfulPath ||
           budget < composed->min_gas) {

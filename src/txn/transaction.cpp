@@ -126,6 +126,13 @@ TxPtr make_signed_tx(const TxParams& params, const crypto::Identity& identity,
                                           CachedTx::SignedDigest{digest});
 }
 
+std::uint64_t intrinsic_gas(const Transaction& tx) {
+  std::uint64_t gas = 21'000;
+  for (const std::uint8_t b : tx.data) gas += (b == 0) ? 4 : 16;
+  if (tx.kind == TxKind::kDeploy) gas += 32'000;
+  return gas;
+}
+
 bool verify_signature(const Transaction& tx,
                       const crypto::SignatureScheme& scheme) {
   const Hash32 digest = tx.signing_hash();

@@ -74,4 +74,8 @@ Transaction make_signed(const TxParams& params, const crypto::Identity& identity
 bool verify_signature(const Transaction& tx,
                       const crypto::SignatureScheme& scheme);
 
+/// 21000 + calldata pricing + creation surcharge; transactions whose gas
+/// limit cannot cover this are invalid. CachedTx memoizes it.
+std::uint64_t intrinsic_gas(const Transaction& tx);
+
 }  // namespace srbb::txn

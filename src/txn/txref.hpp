@@ -26,6 +26,7 @@ struct CachedTx {
                         // checks never re-encode the unsigned fields
   std::size_t size = 0;  // wire bytes
   Address sender;
+  std::uint64_t intrinsic_gas = 0;  // txn::intrinsic_gas(tx), computed once
 
   explicit CachedTx(Transaction t) : tx(std::move(t)) {
     const Bytes wire = tx.encode();
@@ -65,6 +66,7 @@ struct CachedTx {
     size = wire.size();
     sender = tx.sender();
     signing_hash = digest;
+    intrinsic_gas = txn::intrinsic_gas(tx);
   }
 };
 

@@ -33,19 +33,16 @@ struct ValidationConfig {
       &evm::analysis::AnalysisCache::global();
 };
 
-/// Cheap pre-execution check of `tx` sent by `sender`: (iii) nonce is next,
-/// (iv) gas covered, (v) value covered. No signature verification. The one
-/// definition of checks (iii)-(v); the overloads below only supply `sender`.
+/// Cheap pre-execution check of `tx` sent by `sender`, whose intrinsic gas
+/// is `intrinsic`: (iii) nonce is next, (iv) gas covered, (v) value
+/// covered. No signature verification. The one definition of checks
+/// (iii)-(v); the overloads below only supply `sender` and `intrinsic`.
 Status lazy_validate(const Transaction& tx, const Address& sender,
-                     const state::StateView& db);
+                     std::uint64_t intrinsic, const state::StateView& db);
 /// Lazy checks with the sender the CachedTx already holds.
 Status lazy_validate(const CachedTx& tx, const state::StateView& db);
 /// Lazy checks deriving the sender from the public key.
 Status lazy_validate(const Transaction& tx, const state::StateView& db);
-
-/// 21000 + calldata pricing + creation surcharge; transactions whose gas
-/// limit cannot cover this are invalid.
-std::uint64_t intrinsic_gas(const Transaction& tx);
 
 /// Maximum wei the transaction can cost: gas budget plus transferred value.
 U256 max_cost(const Transaction& tx);

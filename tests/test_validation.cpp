@@ -187,6 +187,28 @@ TEST(IntrinsicGas, DeploySurcharge) {
   EXPECT_EQ(intrinsic_gas(tx), 21'000u + 32'000u);
 }
 
+// Every CachedTx constructor memoizes the free function's value: transfer,
+// invoke and deploy, with and without zero and non-zero calldata bytes.
+TEST(IntrinsicGas, CachedTxMemoizesIt) {
+  World w;
+  const Bytes calldatas[] = {{}, {0x00, 0x00}, {0x01, 0xff}, {0x00, 0x07, 0x00}};
+  for (const TxKind kind :
+       {TxKind::kTransfer, TxKind::kInvoke, TxKind::kDeploy}) {
+    for (const Bytes& data : calldatas) {
+      TxParams params;
+      params.kind = kind;
+      params.to = w.bob.address();
+      params.data = data;
+      const Transaction tx = make_signed(params, w.alice, scheme());
+      const std::uint64_t expected = intrinsic_gas(tx);
+      EXPECT_EQ(make_tx_ptr(tx)->intrinsic_gas, expected);
+      EXPECT_EQ(make_tx_ptr(tx, tx.encode())->intrinsic_gas, expected);
+      EXPECT_EQ(make_signed_tx(params, w.alice, scheme())->intrinsic_gas,
+                expected);
+    }
+  }
+}
+
 // --- execution ---
 
 TEST(Executor, TransferMovesValueAndChargesGas) {

@@ -38,7 +38,13 @@
 #  10. gossip dedup state is one row per transaction, not one entry per
 #      node and transaction: in the EVM+DBFT run of gate 8, srbb-sim's
 #      gossip_seen_rows (distinct hashes in the run's SeenLedger) is at
-#      most the transactions sent. Exact, so no noise.
+#      most the transactions sent. Exact, so no noise;
+#  11. a state root re-encodes what changed, not the world state: in gate
+#      6's SRBB FIFA run at scale 0.05, srbb-sim's state_root_records
+#      (account heads plus slot entries encoded over all roots) stays under
+#      1/4 x state_records (live accounts plus slots at the end) x
+#      state_roots. Exact, so no noise; re-encoding every record at every
+#      root overshoots it.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -75,8 +81,8 @@ mkdir -p "$out"
 "$build_dir/bench/bench_micro_sim" --benchmark_min_time=0.05 \
     --benchmark_filter='BM_(EventLoopScheduleRun|PostWorkFifoCaptured)/' \
     --benchmark_format=json > "$out/sim.json"
-# One srbb-sim run per scale: its JSON result (gate 8) and its peak RSS in
-# KiB (gate 6), from the child's rusage.
+# One srbb-sim run per scale: its JSON result (gates 8 and 11) and its peak
+# RSS in KiB (gate 6), from the child's rusage.
 for scale in 0.05 0.1; do
   python3 -c 'import resource, subprocess, sys
 with open(sys.argv[1], "w") as fh:
@@ -234,6 +240,22 @@ print(f"  evmdbft-fifa gossip_seen_rows: {rows} (must be in (0, {sent}]) "
       f"[{status}]")
 if status == "FAIL":
     failures.append("gossip-seen-rows")
+
+# 11. State-root work, SRBB FIFA at n = 10. Each root patches the kept
+#     image from the journal, so it encodes the records that changed.
+#     Measured 70,601 records over 33 roots against a bound of 323,326;
+#     re-encoding every live record at every root measured 412,889.
+#     Deterministic, so the bound is exact.
+with open(f"{out}/sim_0.05.json") as fh:
+    run = json.load(fh)
+records = run["state_root_records"]
+bound = run["state_records"] * run["state_roots"] / 4
+status = "ok" if records < bound else "FAIL"
+print(f"  fifa-0.05 state_root_records: {records} (must be < {bound:.0f}: "
+      f"1/4 x {run['state_records']} live records x {run['state_roots']} "
+      f"roots) [{status}]")
+if status == "FAIL":
+    failures.append("state-root-records")
 
 if failures:
     print(f"perf_smoke: FAILED ({', '.join(failures)})")

@@ -190,7 +190,9 @@ int main(int argc, char** argv) {
         "\"invalid_discarded\":%llu,\"network_messages\":%llu,"
         "\"network_bytes\":%llu,\"crashed_nodes\":%llu,\"slashes\":%llu,"
         "\"sim_events\":%llu,\"sim_peak_heap\":%llu,"
-        "\"sim_peak_pending\":%llu,\"gossip_seen_rows\":%llu}\n",
+        "\"sim_peak_pending\":%llu,\"gossip_seen_rows\":%llu,"
+        "\"state_roots\":%llu,\"state_root_records\":%llu,"
+        "\"state_root_bytes\":%llu,\"state_records\":%llu}\n",
         result.system.c_str(), result.workload.c_str(), scaled.validators,
         scaled.clients, static_cast<unsigned long long>(result.sent),
         static_cast<unsigned long long>(result.committed), result.commit_pct,
@@ -207,7 +209,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(result.sim_events),
         static_cast<unsigned long long>(result.sim_peak_heap),
         static_cast<unsigned long long>(result.sim_peak_pending),
-        static_cast<unsigned long long>(result.gossip_seen_rows));
+        static_cast<unsigned long long>(result.gossip_seen_rows),
+        static_cast<unsigned long long>(result.state_roots),
+        static_cast<unsigned long long>(result.state_root_records),
+        static_cast<unsigned long long>(result.state_root_bytes),
+        static_cast<unsigned long long>(result.state_records));
     return 0;
   }
   std::printf("\n%s\n%s\n\n%s\n", diablo::format_header().c_str(),
