@@ -80,7 +80,7 @@ FanoutResult run(std::size_t fanout) {
     result.gossip_msgs += validator->metrics().gossip_txs_sent;
   }
   result.network_bytes = network.total_bytes();
-  const auto latencies = client.latencies();
+  const auto& latencies = client.latencies();
   for (const double l : latencies) result.avg_latency_s += l;
   if (!latencies.empty()) {
     result.avg_latency_s /= static_cast<double>(latencies.size());

@@ -2,8 +2,13 @@
 // extraction under the loads the congestion experiments generate.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.hpp"
+#include "common/rng.hpp"
+#include "crypto/keccak.hpp"
 #include "oracle_eager_validate.hpp"
 #include "pool/txpool.hpp"
 #include "state/statedb.hpp"
@@ -83,6 +88,64 @@ void BM_PoolRemoveCommitted(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * half.size());
 }
 BENCHMARK(BM_PoolRemoveCommitted);
+
+// --- per-transaction index probes (docs/PERF.md §13) ---------------------
+// The gossip seen ledger's row index shape: Keccak keys to a row number,
+// probed in a shuffled order. range(0) keys are inserted; range(1) = 1
+// probes them (hits), 0 probes as many keys never inserted (misses).
+
+std::vector<Hash32> keccak_keys(std::size_t count, std::uint64_t salt) {
+  std::vector<Hash32> keys(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t word[2] = {salt, i};
+    keys[i] = crypto::Keccak256::hash(BytesView{
+        reinterpret_cast<const std::uint8_t*>(word), sizeof(word)});
+  }
+  return keys;
+}
+
+std::vector<Hash32> probe_keys(const benchmark::State& state,
+                               const std::vector<Hash32>& inserted) {
+  std::vector<Hash32> probes =
+      state.range(1) != 0 ? inserted : keccak_keys(inserted.size(), 1);
+  Rng rng{7};
+  for (std::size_t i = probes.size(); i > 1; --i) {
+    std::swap(probes[i - 1], probes[rng.next_below(i)]);
+  }
+  return probes;
+}
+
+template <class Table>
+void run_probes(benchmark::State& state, const Table& table,
+                const std::vector<Hash32>& probes) {
+  for (auto _ : state) {
+    for (const Hash32& key : probes) {
+      benchmark::DoNotOptimize(table.contains(key));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(probes.size()));
+}
+
+void BM_FlatProbe(benchmark::State& state) {
+  const auto keys = keccak_keys(static_cast<std::size_t>(state.range(0)), 0);
+  FlatMap<32, std::uint32_t> table;
+  for (std::uint32_t i = 0; i < keys.size(); ++i) table.try_emplace(keys[i], i);
+  run_probes(state, table, probe_keys(state, keys));
+}
+BENCHMARK(BM_FlatProbe)
+    ->ArgsProduct({{1 << 10, 1 << 16}, {1, 0}})
+    ->ArgNames({"keys", "hit"});
+
+void BM_UnorderedProbe(benchmark::State& state) {
+  const auto keys = keccak_keys(static_cast<std::size_t>(state.range(0)), 0);
+  std::unordered_map<Hash32, std::uint32_t, Hash32Hasher> table;
+  for (std::uint32_t i = 0; i < keys.size(); ++i) table.try_emplace(keys[i], i);
+  run_probes(state, table, probe_keys(state, keys));
+}
+BENCHMARK(BM_UnorderedProbe)
+    ->ArgsProduct({{1 << 10, 1 << 16}, {1, 0}})
+    ->ArgNames({"keys", "hit"});
 
 // --- eager validation: monolith vs pipeline (docs/PERF.md) --------------
 // Real ed25519 signatures and a populated StateDB; the monolith is the

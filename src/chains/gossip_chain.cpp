@@ -60,7 +60,7 @@ void GossipChainNode::on_client_tx(sim::NodeId from, const txn::TxPtr& tx) {
       ++metrics_.eager_failures;
       return;
     }
-    client_origins_.emplace(tx->hash, from);
+    client_origins_.try_emplace(tx->hash, from);
     if (pool_.add(tx, now()) == pool::TxPool::AddResult::kAdded) {
       gossip_tx(tx, std::nullopt);  // Alg. 1 line 9
     }
@@ -136,7 +136,7 @@ void GossipChainNode::propose(std::uint64_t slot) {
   const txn::BlockPtr block =
       txn::seal(txn::make_block(slot, config_.self, now(), Hash32{},
                                 std::move(txs), identity_, *config_.scheme));
-  seen_blocks_.insert(block->hash());
+  seen_blocks_.try_emplace(block->hash());
   auto msg = std::make_shared<GossipBlockMsg>();
   msg->block = block;
   if (config_.preset.gossip_blocks && overlay_ != nullptr) {
@@ -158,8 +158,7 @@ void GossipChainNode::propose(std::uint64_t slot) {
 
 void GossipChainNode::on_block(sim::NodeId from, const txn::BlockPtr& block) {
   const Hash32 hash = block->hash();
-  if (seen_blocks_.contains(hash)) return;
-  seen_blocks_.insert(hash);
+  if (!seen_blocks_.try_emplace(hash).second) return;
   if (block->header.index < next_commit_slot_) return;  // too late
   if (!txn::verify_block_certificate(*block, *config_.scheme)) return;
 
@@ -209,13 +208,12 @@ void GossipChainNode::commit_block(const txn::BlockPtr& block) {
     if (outcome.valid) {
       ++metrics_.txs_committed_valid;
       committed.push_back(outcome.hash);
-      const auto origin = client_origins_.find(outcome.hash);
-      if (origin != client_origins_.end()) {
+      if (const sim::NodeId* origin = client_origins_.find(outcome.hash)) {
         auto ack = std::make_shared<node::CommitAckMsg>();
         ack->tx_hash = outcome.hash;
         ack->executed_ok = outcome.executed_ok;
-        send(origin->second, ack);
-        client_origins_.erase(origin);
+        send(*origin, ack);
+        client_origins_.erase(outcome.hash);
       }
     } else {
       ++metrics_.txs_discarded_invalid;

@@ -12,11 +12,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chains/presets.hpp"
+#include "common/flat_table.hpp"
 #include "pool/txpool.hpp"
 #include "sim/gossip.hpp"
 #include "sim/network.hpp"
@@ -96,8 +95,8 @@ class GossipChainNode : public sim::SimNode {
   pool::TxPool pool_;
   /// Eager validation over cached fields; per-event paths use validate_one.
   txn::ValidationPipeline pipeline_;
-  std::unordered_set<Hash32, Hash32Hasher> seen_blocks_;
-  std::unordered_map<Hash32, sim::NodeId, Hash32Hasher> client_origins_;
+  FlatSet<32> seen_blocks_;
+  FlatMap<32, sim::NodeId> client_origins_;
 
   std::map<std::uint64_t, txn::BlockPtr> committable_;  // slot -> block
   std::uint64_t slot_counter_ = 0;

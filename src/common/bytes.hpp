@@ -58,7 +58,12 @@ struct FixedBytes {
     return FixedBytes{BytesView{raw->data(), raw->size()}};
   }
 
-  friend bool operator==(const FixedBytes&, const FixedBytes&) = default;
+  /// An equality-only memcmp of constant size inlines to a few word
+  /// compares; the defaulted std::array compare stays a call to memcmp,
+  /// which every hash-table probe would pay.
+  friend bool operator==(const FixedBytes& a, const FixedBytes& b) {
+    return std::memcmp(a.data.data(), b.data.data(), N) == 0;
+  }
   friend auto operator<=>(const FixedBytes&, const FixedBytes&) = default;
 };
 

@@ -28,7 +28,7 @@ void ClientNode::start() {
         submission.at, [this, tx = submission.tx, target = submission.target] {
           ++sent_;
           first_send_ = std::min(first_send_, now());
-          sent_at_.emplace(tx->hash, now());
+          sent_at_.try_emplace(tx->hash, now());
           dispatch(tx, target, 0);
         });
   }
@@ -59,23 +59,15 @@ void ClientNode::dispatch(const txn::TxPtr& tx, sim::NodeId target,
 void ClientNode::handle_message(sim::NodeId, const sim::MessagePtr& message) {
   const auto* ack = sim::msg_cast<node::CommitAckMsg>(message);
   if (ack == nullptr) return;
-  if (committed_.contains(ack->tx_hash)) return;  // duplicate ack
-  if (!sent_at_.contains(ack->tx_hash)) return;   // not ours
-  committed_.emplace(ack->tx_hash, now());
+  const SimTime* sent_at = sent_at_.find(ack->tx_hash);
+  if (sent_at == nullptr) return;                              // not ours
+  if (!committed_.try_emplace(ack->tx_hash).second) return;  // duplicate ack
   last_commit_ = std::max(last_commit_, now());
-  const SimDuration e2e = now() - sent_at_.at(ack->tx_hash);
+  const SimDuration e2e = now() - *sent_at;
+  latencies_.push_back(to_seconds(e2e));
   if (hist_e2e_ != nullptr) hist_e2e_->observe(e2e);
   SRBB_TRACE(trace_, now(), 0, static_cast<std::uint32_t>(id()), "client",
              "client.ack", "tx", obs::trace_id(ack->tx_hash), "latency", e2e);
-}
-
-std::vector<double> ClientNode::latencies() const {
-  std::vector<double> out;
-  out.reserve(committed_.size());
-  for (const auto& [hash, at] : committed_) {
-    out.push_back(to_seconds(at - sent_at_.at(hash)));
-  }
-  return out;
 }
 
 }  // namespace srbb::diablo

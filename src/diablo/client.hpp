@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
@@ -53,8 +53,8 @@ class ClientNode : public sim::SimNode {
   // --- results ---
   std::uint64_t sent() const { return sent_; }
   std::uint64_t committed() const { return committed_.size(); }
-  /// Latencies in seconds for every committed transaction.
-  std::vector<double> latencies() const;
+  /// Latencies in seconds for every committed transaction, in ack order.
+  const std::vector<double>& latencies() const { return latencies_; }
   SimTime first_send() const { return first_send_; }
   SimTime last_commit() const { return last_commit_; }
 
@@ -65,8 +65,9 @@ class ClientNode : public sim::SimNode {
 
   std::vector<Submission> schedule_;
   sim::WorkLane submissions_{sim()};  // the schedule, in time order
-  std::unordered_map<Hash32, SimTime, Hash32Hasher> sent_at_;
-  std::unordered_map<Hash32, SimTime, Hash32Hasher> committed_;
+  FlatMap<32, SimTime> sent_at_;
+  FlatSet<32> committed_;
+  std::vector<double> latencies_;
   std::uint64_t sent_ = 0;
   std::uint64_t resends_ = 0;
   SimTime first_send_ = ~0ull;

@@ -321,7 +321,7 @@ RunResult run_experiment(const RunConfig& config) {
   for (const auto& client : clients) {
     result.sent += client->sent();
     result.committed += client->committed();
-    const auto client_latencies = client->latencies();
+    const auto& client_latencies = client->latencies();
     latencies.insert(latencies.end(), client_latencies.begin(),
                      client_latencies.end());
     first_send = std::min(first_send, client->first_send());

@@ -34,11 +34,15 @@ void TxPool::check_coherence() const {
 }
 
 TxPool::AddResult TxPool::add(txn::TxPtr tx, SimTime now) {
-  if (index_.contains(tx->hash)) {
+  // One probe per call: a full pool only asks, an open one inserts and
+  // learns from the insert whether the hash was already there.
+  const bool full = entries_.size() >= config_.capacity;
+  if (full ? index_.contains(tx->hash)
+           : !index_.try_emplace(tx->hash).second) {
     if (ctr_duplicates_ != nullptr) ctr_duplicates_->inc();
     return AddResult::kDuplicate;
   }
-  if (entries_.size() >= config_.capacity) {
+  if (full) {
     ++dropped_full_;
     if (ctr_dropped_full_ != nullptr) ctr_dropped_full_->inc();
     SRBB_TRACE(trace_, now, 0, obs_node_, "pool", "pool.drop_full", "tx",
@@ -47,7 +51,6 @@ TxPool::AddResult TxPool::add(txn::TxPtr tx, SimTime now) {
   }
   SRBB_TRACE(trace_, now, 0, obs_node_, "pool", "pool.admit", "tx",
              obs::trace_id(tx->hash), "occupancy", entries_.size() + 1);
-  index_.insert(tx->hash);
   entries_.push_back(Entry{std::move(tx), now});
   ++admitted_;
   if (ctr_admitted_ != nullptr) ctr_admitted_->inc();

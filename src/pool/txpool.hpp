@@ -7,9 +7,9 @@
 #include <cstdint>
 #include <deque>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.hpp"
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -89,7 +89,7 @@ class TxPool {
 
   TxPoolConfig config_;
   std::deque<Entry> entries_;
-  std::unordered_set<Hash32, Hash32Hasher> index_;
+  FlatSet<32> index_;
   std::uint64_t dropped_full_ = 0;
   std::uint64_t dropped_expired_ = 0;
   std::uint64_t admitted_ = 0;

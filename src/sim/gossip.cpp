@@ -13,21 +13,21 @@ SeenLedger::SeenLedger(std::size_t node_count)
 
 bool SeenLedger::seen(NodeId node, const Hash32& hash) const {
   SRBB_CHECK(node < node_count_);
-  const auto it = row_of_.find(hash);
-  if (it == row_of_.end()) return false;
-  const std::uint64_t word = bits_[it->second * stride_ + node / 64];
+  const std::uint32_t* row = row_of_.find(hash);
+  if (row == nullptr) return false;
+  const std::uint64_t word = bits_[*row * stride_ + node / 64];
   return ((word >> (node % 64)) & 1u) != 0;
 }
 
 void SeenLedger::mark(NodeId node, const Hash32& hash) {
   SRBB_CHECK(node < node_count_);
-  const auto [it, fresh] =
+  const auto [row, fresh] =
       row_of_.try_emplace(hash, static_cast<std::uint32_t>(row_of_.size()));
   if (fresh) {
     SRBB_CHECK(row_of_.size() <= UINT32_MAX);
     bits_.resize(bits_.size() + stride_, 0);
   }
-  bits_[it->second * stride_ + node / 64] |= std::uint64_t{1} << (node % 64);
+  bits_[*row * stride_ + node / 64] |= std::uint64_t{1} << (node % 64);
 }
 
 void SeenLedger::forget(NodeId node) {

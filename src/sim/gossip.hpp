@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/flat_table.hpp"
 #include "sim/network.hpp"
 
 namespace srbb::sim {
@@ -34,7 +34,7 @@ class SeenLedger {
  private:
   std::size_t node_count_;
   std::size_t stride_;  // words per row: ceil(node_count / 64)
-  std::unordered_map<Hash32, std::uint32_t, Hash32Hasher> row_of_;
+  FlatMap<32, std::uint32_t> row_of_;
   std::vector<std::uint64_t> bits_;  // row r is words [r * stride_, +stride_)
 };
 

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_table.hpp"
 #include "common/rng.hpp"
 #include "sim/network.hpp"
 #include "srbb/messages.hpp"
@@ -29,17 +29,16 @@ class LoadBalancerNode : public sim::SimNode {
     // makes repeated submissions of a censored transaction land elsewhere.
     if (const auto* tx = sim::msg_cast<ClientTxMsg>(message)) {
       ++forwarded_;
-      origins_[tx->tx->hash] = from;
+      *origins_.try_emplace(tx->tx->hash).first = from;  // latest sender
       send(static_cast<sim::NodeId>(rng_.next_below(validator_count_)),
            message);
       return;
     }
     // Relay commit acknowledgements back to the submitting client.
     if (const auto* ack = sim::msg_cast<CommitAckMsg>(message)) {
-      const auto it = origins_.find(ack->tx_hash);
-      if (it != origins_.end()) {
-        send(it->second, message);
-        origins_.erase(it);
+      if (const sim::NodeId* origin = origins_.find(ack->tx_hash)) {
+        send(*origin, message);
+        origins_.erase(ack->tx_hash);
       }
     }
   }
@@ -50,7 +49,7 @@ class LoadBalancerNode : public sim::SimNode {
   std::uint32_t validator_count_;
   Rng rng_;
   std::uint64_t forwarded_ = 0;
-  std::unordered_map<Hash32, sim::NodeId, Hash32Hasher> origins_;
+  FlatMap<32, sim::NodeId> origins_;
 };
 
 }  // namespace srbb::node

@@ -19,9 +19,9 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.hpp"
 #include "evm/types.hpp"
 #include "obs/trace.hpp"
 #include "srbb/genesis.hpp"
@@ -84,9 +84,9 @@ class ExecutionOracle {
   /// The index at which `hash` was committed as a valid transaction, if an
   /// executed index committed it.
   std::optional<std::uint64_t> committed_index(const Hash32& hash) const {
-    const auto it = committed_at_.find(hash);
-    if (it == committed_at_.end()) return std::nullopt;
-    return it->second;
+    const std::uint64_t* index = committed_at_.find(hash);
+    if (index == nullptr) return std::nullopt;
+    return *index;
   }
   /// True when `hash` was committed as a valid transaction at an index below
   /// `frontier`. A replica passing its own commit height gets exactly the
@@ -116,10 +116,10 @@ class ExecutionOracle {
   txn::ExecutionConfig exec_config_;
   std::unique_ptr<txn::ParallelExecutor> parallel_;
   std::map<std::uint64_t, IndexExecResult> results_;
-  /// Valid transaction hash -> index it committed at. Probe-only (never
-  /// iterated). A transaction is valid at most once (its nonce advances), so
-  /// each hash keeps the first index that committed it.
-  std::unordered_map<Hash32, std::uint64_t, Hash32Hasher> committed_at_;
+  /// Valid transaction hash -> index it committed at. A transaction is
+  /// valid at most once (its nonce advances), so each hash keeps the first
+  /// index that committed it.
+  FlatMap<32, std::uint64_t> committed_at_;
 };
 
 }  // namespace srbb::node

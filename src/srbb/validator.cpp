@@ -1,7 +1,6 @@
 #include "srbb/validator.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/invariant.hpp"
 #include "crypto/sha256.hpp"
@@ -223,7 +222,7 @@ void ValidatorNode::on_client_tx(sim::NodeId from, const txn::TxPtr& tx) {
       ++metrics_.eager_failures;
       return;  // drop (Alg. 1: failed eager validation)
     }
-    client_origins_.emplace(tx->hash, from);
+    client_origins_.try_emplace(tx->hash, from);
     admit_to_pool(tx);
     if (!config_.tvpr) {
       // Modern blockchain: propagate the individual transaction (line 9).
@@ -488,16 +487,15 @@ void ValidatorNode::commit_index(std::uint64_t index,
       if (outcome.valid) {
         ++metrics_.txs_committed_valid;
         committed_hashes.push_back(outcome.hash);
-        const auto origin = client_origins_.find(outcome.hash);
-        if (origin != client_origins_.end()) {
+        if (const sim::NodeId* origin = client_origins_.find(outcome.hash)) {
           auto ack = std::make_shared<CommitAckMsg>();
           ack->tx_hash = outcome.hash;
           ack->executed_ok = outcome.executed_ok;
           SRBB_TRACE(config_.trace, now(), 0, config_.self, "commit",
                      "commit.ack", "tx", obs::trace_id(outcome.hash), "ok",
                      outcome.executed_ok ? 1 : 0);
-          send(origin->second, ack);
-          client_origins_.erase(origin);
+          send(*origin, ack);
+          client_origins_.erase(outcome.hash);
         }
       } else {
         ++metrics_.txs_discarded_invalid;
@@ -642,7 +640,7 @@ void ValidatorNode::recycle_undecided(std::uint64_t index) {
   const std::uint64_t frontier = index + 1;
   std::vector<txn::TxPtr> candidates;
   std::vector<txn::TxPtr> admit;
-  std::unordered_set<Hash32, Hash32Hasher> in_batch;
+  FlatSet<32> in_batch;
   for (const txn::BlockPtr& block : it->second->undecided_blocks()) {
     candidates.clear();
     admit.clear();
@@ -650,7 +648,7 @@ void ValidatorNode::recycle_undecided(std::uint64_t index) {
     for (const txn::TxPtr& tx : block->txs) {
       if (oracle_->committed_below(tx->hash, frontier) ||
           pool_.contains(tx->hash) ||
-          !in_batch.insert(tx->hash).second) {
+          !in_batch.try_emplace(tx->hash).second) {
         continue;
       }
       candidates.push_back(tx);

@@ -22,9 +22,9 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.hpp"
 #include "consensus/superblock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -234,7 +234,7 @@ class ValidatorNode : public sim::SimNode {
   /// Eager validation (DESIGN.md §11): per-event paths use validate_one;
   /// recycle_undecided validates a whole undecided block with validate().
   txn::ValidationPipeline pipeline_;
-  std::unordered_map<Hash32, sim::NodeId, Hash32Hasher> client_origins_;
+  FlatMap<32, sim::NodeId> client_origins_;
 
   std::map<std::uint64_t, std::unique_ptr<consensus::SuperblockInstance>>
       instances_;

@@ -307,9 +307,10 @@ void StateDB::increment_nonce(const Address& addr) {
 
 void StateDB::set_code(const Address& addr, Bytes code) {
   Account& acc = mutable_account(addr);
-  JournalEntry entry{.op = Op::kCodeChange, .addr = addr};
-  entry.prev_code = acc.code;
-  journal_.push_back(std::move(entry));
+  journal_.push_back(
+      JournalEntry{.op = Op::kCodeChange,
+                   .addr = addr,
+                   .saved = SavedAccount{Account{.code = acc.code}}});
   acc.code = std::move(code);
   acc.code_keccak = keccak_of_code(acc.code);
 }
@@ -334,7 +335,7 @@ void StateDB::delete_account(const Address& addr) {
   if (acc == nullptr) return;
   root_dirty_ = true;
   JournalEntry entry{.op = Op::kDeleteAccount, .addr = addr};
-  entry.prev_account = *acc;
+  entry.saved = SavedAccount{*acc};
   if (backend_ == nullptr) {
     journal_.push_back(std::move(entry));
     accounts_.erase(addr);
@@ -395,7 +396,7 @@ void StateDB::revert_to(Snapshot snapshot) {
         break;
       case Op::kCodeChange: {
         Account& acc = target();
-        acc.code = std::move(entry.prev_code);
+        acc.code = std::move(entry.saved.account->code);
         // Reverted deployments are rare; recomputing beats journaling the
         // previous hash on every set_code.
         acc.code_keccak = keccak_of_code(acc.code);
@@ -413,7 +414,7 @@ void StateDB::revert_to(Snapshot snapshot) {
       case Op::kDeleteAccount:
         // The deletion undo recreates the account, so it must be absent.
         SRBB_PARANOID(!accounts_.contains(entry.addr));
-        accounts_[entry.addr] = std::move(entry.prev_account);
+        accounts_[entry.addr] = std::move(*entry.saved.account);
         if (backend_ != nullptr) {
           snapshot_.note_resident(entry.addr);
           snapshot_.mark_dirty(entry.addr);

@@ -186,9 +186,29 @@ class StateDB final : public StateView {
     kCreateAccount,   // undo: erase account
     kBalanceChange,   // undo: restore prev_value
     kNonceChange,     // undo: restore prev_nonce
-    kCodeChange,      // undo: restore prev_code
+    kCodeChange,      // undo: restore saved.account->code
     kStorageChange,   // undo: restore prev_value / erase if !prev_existed
-    kDeleteAccount,   // undo: restore prev_account
+    kDeleteAccount,   // undo: restore *saved.account
+  };
+
+  /// Owns what a code or delete undo restores, so the other ops carry one
+  /// null pointer instead of an Account and a Bytes. Copies deeply, so
+  /// JournalEntry and StateDB stay copyable.
+  struct SavedAccount {
+    std::unique_ptr<Account> account;
+    SavedAccount() = default;
+    explicit SavedAccount(Account saved)
+        : account(std::make_unique<Account>(std::move(saved))) {}
+    SavedAccount(const SavedAccount& other)
+        : account(other.account ? std::make_unique<Account>(*other.account)
+                                : nullptr) {}
+    SavedAccount& operator=(const SavedAccount& other) {
+      account = other.account ? std::make_unique<Account>(*other.account)
+                              : nullptr;
+      return *this;
+    }
+    SavedAccount(SavedAccount&&) noexcept = default;
+    SavedAccount& operator=(SavedAccount&&) noexcept = default;
   };
 
   struct JournalEntry {
@@ -204,9 +224,10 @@ class StateDB final : public StateView {
     /// self-destruct/recreate sequences cannot resurrect stale backend
     /// records after commit clears the tombstone set.
     bool prev_tombstoned = false;
-    Bytes prev_code;
-    Account prev_account;  // delete undo
+    SavedAccount saved;  // code op: the old code; delete op: the account
   };
+  // A fifa_srbb call pushes ~345 k entries (docs/PERF.md §13).
+  static_assert(sizeof(JournalEntry) <= 128);
 
   /// std::shared_mutex that copies/moves as a fresh mutex, so StateDB keeps
   /// its defaulted special members.

@@ -46,6 +46,12 @@ that have historically caused replica divergence in production chains:
                    sit in the one kernel file whose kernels have a
                    differential test, or two replicas on different hosts
                    could run code that no test compared.
+  node-hash-index  std::unordered_{map,set} keyed by Hash32 or Address under
+                   src/sim, src/pool, src/srbb, src/diablo or src/chains:
+                   the per-transaction indexes there are probed on every
+                   gossiped copy, and srbb::FlatMap / FlatSet
+                   (common/flat_table.hpp) probe without the node-based
+                   table's divide and pointer chases (docs/PERF.md §13).
 
 Audited sites are suppressed through tools/lint_allowlist.txt; every entry
 carries a justification and MUST still match a real finding (stale entries
@@ -164,7 +170,8 @@ def check_nondet_source(relpath: str, lines: list[str]) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 UNORDERED_DECL = re.compile(r"\bunordered_(?:map|set)\s*<")
-RANGE_FOR = re.compile(r"\bfor\s*\(([^;()]*?):([^;]*?)\)\s*[{\n]")
+FOR_OPEN = re.compile(r"\bfor\s*\(")
+RANGE_COLON = re.compile(r"(?<!:):(?!:)")
 LAST_IDENT = re.compile(r"([A-Za-z_]\w*)\s*$")
 
 
@@ -192,15 +199,35 @@ def collect_unordered_names(stripped: str) -> set[str]:
     return names
 
 
+def range_fors(stripped: str):
+    """(offset, range expression) of every range-based for. The header ends
+    at the parenthesis matching the for's own, so whatever follows it (a
+    brace, a newline or a brace-less statement) cannot hide the loop."""
+    for match in FOR_OPEN.finditer(stripped):
+        depth, i = 0, match.end() - 1  # at '('
+        while i < len(stripped):
+            if stripped[i] == "(":
+                depth += 1
+            elif stripped[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            i += 1
+        header = stripped[match.end():i]
+        colon = RANGE_COLON.search(header)
+        if ";" in header or colon is None:
+            continue  # a classic for, or no header at all
+        yield match.start(), header[colon.end():]
+
+
 def check_unordered_iter(relpath: str, stripped: str,
                          unordered_names: set[str]) -> list[tuple]:
     findings = []
-    for match in RANGE_FOR.finditer(stripped):
-        range_expr = match.group(2).strip()
-        ident = LAST_IDENT.search(range_expr)
+    for offset, range_expr in range_fors(stripped):
+        ident = LAST_IDENT.search(range_expr.strip())
         if not ident or ident.group(1) not in unordered_names:
             continue
-        lineno = stripped.count("\n", 0, match.start()) + 1
+        lineno = stripped.count("\n", 0, offset) + 1
         line = stripped.splitlines()[lineno - 1].strip()
         findings.append(
             ("unordered-iter", relpath, lineno, line,
@@ -434,6 +461,30 @@ def check_host_dispatch(relpath: str, lines: list[str]) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: node-hash-index
+# ---------------------------------------------------------------------------
+
+NODE_HASH_INDEX = re.compile(
+    r"\bunordered_(?:map|set)\s*<\s*(?:srbb::)?(?:Hash32|Address)\b")
+NODE_HASH_INDEX_DIRS = ("src/sim/", "src/pool/", "src/srbb/", "src/diablo/",
+                        "src/chains/")
+
+
+def check_node_hash_index(relpath: str, lines: list[str]) -> list[tuple]:
+    if not relpath.startswith(NODE_HASH_INDEX_DIRS):
+        return []
+    findings = []
+    for lineno, line in enumerate(lines, 1):
+        if NODE_HASH_INDEX.search(line):
+            findings.append(
+                ("node-hash-index", relpath, lineno, line.strip(),
+                 "node-based hash index keyed by a hash or address: use "
+                 "srbb::FlatMap / FlatSet (common/flat_table.hpp), which "
+                 "probe one inline slot array"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Self-test: one positive and one negative fixture per rule, so a regex edit
 # that silently disables a rule fails the `srbb_lint_selftest` ctest.
 # ---------------------------------------------------------------------------
@@ -452,6 +503,14 @@ SELFTEST_FIXTURES = [
     ("unordered-iter", "src/state/x.cpp",
      "std::map<int, int> m;\n"
      "void f() { for (auto& kv : m) { use(kv); } }\n", False),
+    # A brace-less one-line body must not hide the loop.
+    ("unordered-iter", "src/state/x.cpp",
+     "std::unordered_map<int, int> m;\n"
+     "void f() { for (auto& kv : m) use(kv); }\n", True),
+    # The range expression ends at the for's own closing parenthesis.
+    ("unordered-iter", "src/state/x.cpp",
+     "std::unordered_set<int> m;\n"
+     "void f() { for (int v : sorted(m)) use(v); }\n", False),
     ("pointer-key", "src/state/x.hpp",
      "std::map<Node*, int> weights;\n", True),
     ("pointer-key", "src/state/x.hpp",
@@ -526,16 +585,25 @@ SELFTEST_FIXTURES = [
      "// __builtin_cpu_supports would go here\nvoid f();\n", False),
     ("host-dispatch", "src/evm/x.cpp",
      "__attribute__((always_inline)) inline void add(U256& a);\n", False),
+    ("node-hash-index", "src/pool/x.hpp",
+     "std::unordered_set<Hash32, Hash32Hasher> index_;\n", True),
+    ("node-hash-index", "src/srbb/x.hpp",
+     "std::unordered_map<Address, U256, AddressHasher> owed_;\n", True),
+    ("node-hash-index", "src/pool/x.hpp",
+     "FlatSet<32> index_;\n", False),
+    # State keeps node-based tables: it hands out Account* across inserts.
+    ("node-hash-index", "src/state/x.hpp",
+     "std::unordered_map<Address, Account, AddressHasher> accounts_;\n",
+     False),
 ]
 
 
-def run_file_checks(relpath: str, text: str) -> list[tuple]:
-    stripped = strip_comments_and_strings(text)
+def run_file_checks(relpath: str, stripped: str,
+                    unordered_names: set[str]) -> list[tuple]:
     lines = stripped.splitlines()
     findings = []
     findings += check_nondet_source(relpath, lines)
-    findings += check_unordered_iter(relpath, stripped,
-                                     collect_unordered_names(stripped))
+    findings += check_unordered_iter(relpath, stripped, unordered_names)
     findings += check_pointer_key(relpath, lines)
     findings += check_uninit_field(relpath, stripped)
     findings += check_float_in_consensus(relpath, lines)
@@ -544,13 +612,17 @@ def run_file_checks(relpath: str, text: str) -> list[tuple]:
     findings += check_message_dynamic_cast(relpath, lines)
     findings += check_unsealed_block(relpath, lines)
     findings += check_host_dispatch(relpath, lines)
+    findings += check_node_hash_index(relpath, lines)
     return findings
 
 
 def self_test() -> int:
     failures = 0
     for i, (rule, relpath, source, expect) in enumerate(SELFTEST_FIXTURES):
-        hits = [f for f in run_file_checks(relpath, source) if f[0] == rule]
+        stripped = strip_comments_and_strings(source)
+        hits = [f for f in run_file_checks(relpath, stripped,
+                                           collect_unordered_names(stripped))
+                if f[0] == rule]
         if bool(hits) != expect:
             print(f"self-test fixture #{i} ({rule}): expected "
                   f"{'a finding' if expect else 'no finding'}, got "
@@ -642,18 +714,8 @@ def main() -> int:
     findings = []
     for path in files:
         relpath = path.relative_to(args.root).as_posix()
-        stripped = stripped_by_file[path]
-        lines = stripped.splitlines()
-        findings += check_nondet_source(relpath, lines)
-        findings += check_unordered_iter(relpath, stripped, unordered_names)
-        findings += check_pointer_key(relpath, lines)
-        findings += check_uninit_field(relpath, stripped)
-        findings += check_float_in_consensus(relpath, lines)
-        findings += check_analysis_cache_mutation(relpath, lines)
-        findings += check_interproc_bypass(relpath, lines)
-        findings += check_message_dynamic_cast(relpath, lines)
-        findings += check_unsealed_block(relpath, lines)
-        findings += check_host_dispatch(relpath, lines)
+        findings += run_file_checks(relpath, stripped_by_file[path],
+                                    unordered_names)
 
     allowlist = ([] if args.no_allowlist
                  else load_allowlist(args.root / "tools/lint_allowlist.txt"))
