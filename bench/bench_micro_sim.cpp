@@ -121,13 +121,19 @@ BENCHMARK(BM_PostWorkFifoCaptured)->Arg(100000);
 
 // Args {nodes, all_to_all}. {50, 0}: 2000 point-to-point sends spread over
 // 50 nodes. {20, 1}: the consensus-bound workload's shape - 20 validators,
-// each broadcasting one message to the other 19 (one EST or AUX step of a
+// each multicasting one message to the other 19 (one EST or AUX step of a
 // binary instance), 5 steps, so 1900 deliveries per iteration.
 void BM_NetworkDelivery(benchmark::State& state) {
   const auto node_count = static_cast<std::size_t>(state.range(0));
   const bool all_to_all = state.range(1) != 0;
   const std::size_t sends =
       all_to_all ? 5 * node_count * (node_count - 1) : 2000;
+  std::vector<std::vector<NodeId>> others(node_count);
+  for (std::size_t from = 0; from < node_count; ++from) {
+    for (std::size_t to = 0; to < node_count; ++to) {
+      if (to != from) others[from].push_back(static_cast<NodeId>(to));
+    }
+  }
   for (auto _ : state) {
     Simulation sim;
     NetworkConfig config;
@@ -144,9 +150,7 @@ void BM_NetworkDelivery(benchmark::State& state) {
     if (all_to_all) {
       for (int step = 0; step < 5; ++step) {
         for (std::size_t from = 0; from < node_count; ++from) {
-          for (std::size_t to = 0; to < node_count; ++to) {
-            if (to != from) nodes[from]->send(static_cast<NodeId>(to), blob);
-          }
+          nodes[from]->multicast(others[from], blob);
         }
       }
     } else {

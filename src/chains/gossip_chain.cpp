@@ -18,7 +18,11 @@ GossipChainNode::GossipChainNode(sim::Simulation& simulation, sim::NodeId id,
       oracle_(std::move(oracle)),
       overlay_(overlay),
       pool_(config_.preset.pool),
-      pipeline_(*config_.scheme, config_.validation) {}
+      pipeline_(*config_.scheme, config_.validation) {
+  for (std::uint32_t peer = 0; peer < config_.n; ++peer) {
+    if (peer != config_.self) others_.push_back(peer);
+  }
+}
 
 void GossipChainNode::set_observability(obs::TraceSink* trace,
                                         obs::MetricsRegistry* metrics) {
@@ -145,9 +149,7 @@ void GossipChainNode::propose(std::uint64_t slot) {
     }
   } else {
     // No block gossip (Avalanche-style): ship directly to every validator.
-    for (std::uint32_t peer = 0; peer < config_.n; ++peer) {
-      if (peer != config_.self) send(peer, msg);
-    }
+    multicast(others_, msg);
   }
   // Own commit path after the voting exchange.
   sim().schedule_after(config_.preset.consensus_overhead, [this, block] {

@@ -89,6 +89,7 @@ class GossipChainNode : public sim::SimNode {
 
   GossipChainConfig config_;
   crypto::Identity identity_;
+  std::vector<sim::NodeId> others_;  // every other validator, ascending
   std::shared_ptr<node::ExecutionOracle> oracle_;
   sim::GossipOverlay* overlay_;  // also holds this node's seen-gossip bits
 

@@ -53,19 +53,11 @@ BinaryConsensus& SuperblockInstance::bin_for(std::uint32_t proposer) {
       }
     };
     bin_cb.send_decided = [this, proposer](bool value) {
-      auto msg = std::make_shared<DecidedMsg>();
-      msg->index = index_;
-      msg->proposer = proposer;
-      msg->value = value;
-      cb_.broadcast(msg);
+      cb_.broadcast(decided_msg(proposer, value));
     };
     bin_cb.send_decided_to = [this, proposer](std::uint32_t peer, bool value) {
       if (peer == config_.self) return;
-      auto msg = std::make_shared<DecidedMsg>();
-      msg->index = index_;
-      msg->proposer = proposer;
-      msg->value = value;
-      cb_.send_to(peer, msg);
+      cb_.send_to(peer, decided_msg(proposer, value));
     };
     bin_cb.on_decide = [this, proposer](bool value) {
       ProposalSlot& s = slots_[proposer];
@@ -81,6 +73,20 @@ BinaryConsensus& SuperblockInstance::bin_for(std::uint32_t proposer) {
         quorums_.n, quorums_.f, std::move(bin_cb));
   }
   return *slot.bin;
+}
+
+const sim::MessagePtr& SuperblockInstance::decided_msg(std::uint32_t proposer,
+                                                      bool value) {
+  sim::MessagePtr& decided = slots_[proposer].decided;
+  if (decided == nullptr) {
+    auto msg = std::make_shared<DecidedMsg>();
+    msg->index = index_;
+    msg->proposer = proposer;
+    msg->value = value;
+    decided = std::move(msg);
+  }
+  SRBB_CHECK(sim::msg_cast<DecidedMsg>(decided)->value == value);
+  return decided;
 }
 
 void SuperblockInstance::arm_timer(SimDuration delay,

@@ -63,8 +63,8 @@ struct SuperblockConfig {
 
 struct SuperblockCallbacks {
   /// Broadcast to every *other* validator (self-delivery is internal).
-  std::function<void(sim::MessagePtr)> broadcast;
-  std::function<void(std::uint32_t peer, sim::MessagePtr)> send_to;
+  std::function<void(const sim::MessagePtr&)> broadcast;
+  std::function<void(std::uint32_t peer, const sim::MessagePtr&)> send_to;
   /// Extra block-header validity beyond the certificate (e.g. RPM exclusion
   /// of slashed proposers). Blocks failing this are discarded before
   /// consensus (Alg. 1 line 16).
@@ -138,6 +138,10 @@ class SuperblockInstance {
     bool bin_decided = false;
     bool bin_value = false;
     std::unique_ptr<BinaryConsensus> bin;
+    /// The DECIDED message for this slot, built when the first one goes out
+    /// and shared by every later announcement and hint: a decision never
+    /// changes.
+    sim::MessagePtr decided;
     bool pulling = false;
     std::uint32_t pull_attempt_count = 0;  // rotates the peers asked
     // Owns the PULL retry closure; the timer copies capture it weakly so
@@ -180,6 +184,8 @@ class SuperblockInstance {
   bool quorum_certified(const ProposalSlot& slot) const;
   void maybe_complete();
   BinaryConsensus& bin_for(std::uint32_t proposer);
+  /// The slot's DECIDED message for `value`, built once.
+  const sim::MessagePtr& decided_msg(std::uint32_t proposer, bool value);
 
   SuperblockConfig config_;
   /// Effective quorum thresholds: derived from config_.membership (or the

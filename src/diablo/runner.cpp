@@ -388,6 +388,7 @@ RunResult run_experiment(const RunConfig& config) {
   result.sim_events = simulation.events_processed();
   result.sim_peak_heap = simulation.peak_heap();
   result.sim_peak_pending = simulation.peak_pending();
+  result.sim_head_pushes = simulation.head_pushes();
   result.gossip_seen_rows = overlay.seen_ledger().rows();
   for (const auto& oracle : oracles) {
     const state::StateDB::RootWork work = oracle->db().root_work();

@@ -114,11 +114,13 @@ struct RunResult {
   std::uint64_t slash_events = 0;
   double valid_committed_per_validator_tps = 0;
 
-  // Event-loop load (docs/OBSERVABILITY.md): events fired, and the peaks of
-  // the timer heap and of all pending events. Pure functions of the seed.
+  // Event-loop load (docs/OBSERVABILITY.md): events fired, the peaks of
+  // the timer heap and of all pending events, and the lane heads pushed
+  // onto the heap. Pure functions of the seed.
   std::uint64_t sim_events = 0;
   std::uint64_t sim_peak_heap = 0;
   std::uint64_t sim_peak_pending = 0;
+  std::uint64_t sim_head_pushes = 0;
   /// Distinct transaction hashes in the run's gossip SeenLedger (0 when no
   /// node gossips, as under TVPR). A pure function of the seed.
   std::uint64_t gossip_seen_rows = 0;

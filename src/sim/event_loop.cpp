@@ -11,7 +11,8 @@ SimTime Simulation::admit(SimTime time) {
 }
 
 void Simulation::note_heap_size() {
-  peak_heap_ = std::max(peak_heap_, timers_.size() + heads_.size());
+  peak_heap_ =
+      std::max(peak_heap_, timers_.size() + heads_.size() - firing_lane_);
 }
 
 void Simulation::schedule_at(SimTime time, Task fn) {
@@ -30,9 +31,29 @@ void Simulation::schedule_at(SimTime time, Task fn) {
 }
 
 void Simulation::push_head(Head head) {
+  ++head_pushes_;
   heads_.push_back(head);
   std::push_heap(heads_.begin(), heads_.end(), Later{});
   note_heap_size();
+}
+
+void Simulation::sift_root(Key next) {
+  Head moving = heads_.front();
+  moving.time = next.time;
+  moving.seq = next.seq;
+  const std::size_t size = heads_.size();
+  std::size_t hole = 0;
+  // std::push_heap's layout: the children of i sit at 2i + 1 and 2i + 2, and
+  // no child is earlier than its parent.
+  for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
+    if (child + 1 < size && Later{}(heads_[child], heads_[child + 1])) {
+      ++child;
+    }
+    if (!Later{}(moving, heads_[child])) break;
+    heads_[hole] = heads_[child];
+    hole = child;
+  }
+  heads_[hole] = moving;
 }
 
 void Simulation::fire_next() {
@@ -48,11 +69,20 @@ void Simulation::fire_next() {
     free_slots_.push_back(timer.slot);
     fn();
   } else {
-    std::pop_heap(heads_.begin(), heads_.end(), Later{});
-    const Head head = heads_.back();
-    heads_.pop_back();
-    now_ = head.time;
-    head.lane->fire_front();
+    // The entry stays at the root while its event runs (see heads_), so one
+    // sift re-keys it for the lane's next event.
+    Lane* lane = heads_.front().lane;
+    now_ = heads_.front().time;
+    firing_lane_ = 1;
+    const std::optional<Key> next = lane->fire_front();
+    firing_lane_ = 0;
+    if (next.has_value()) {
+      sift_root(*next);
+      note_heap_size();
+    } else {
+      std::pop_heap(heads_.begin(), heads_.end(), Later{});
+      heads_.pop_back();
+    }
   }
 }
 

@@ -11,13 +11,16 @@
 // Every event, timer or lane item, draws its tie-break seq from one counter
 // at schedule time, so the firing order is the same as one heap of all
 // events. Each event's closure is a Task, stored inline: scheduling and
-// firing allocate nothing per event (docs/PERF.md §10).
+// firing allocate nothing per event (docs/PERF.md §10). A firing lane keeps
+// its heap entry: its successor's key replaces the root and sifts down once,
+// so a lane event costs one sift, not a pop and a push (docs/PERF.md §14).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <new>
+#include <optional>
 #include <queue>
 #include <type_traits>
 #include <utility>
@@ -112,8 +115,11 @@ class Simulation {
   /// Events scheduled and not yet fired: timers plus every lane's queue.
   std::size_t pending_events() const { return pending_; }
   std::size_t peak_pending() const { return peak_pending_; }
-  /// Peak heap size: timers plus one head per non-empty lane.
+  /// Peak heap size: timers plus one head per lane with a pending event.
   std::size_t peak_heap() const { return peak_heap_; }
+  /// Lane heads pushed onto the heap: one each time a lane goes from empty
+  /// to non-empty. A lane that stays busy re-keys its entry instead.
+  std::uint64_t head_pushes() const { return head_pushes_; }
 
  private:
   friend class Lane;
@@ -124,6 +130,11 @@ class Simulation {
     SimTime time;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
     std::uint32_t slot;
+  };
+  /// The (time, seq) an event fires at; unique per event.
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
   };
   struct Head {
     SimTime time;
@@ -141,6 +152,8 @@ class Simulation {
   /// Clamp `time` to now and count one more pending event.
   SimTime admit(SimTime time);
   void push_head(Head head);
+  /// Give the root head the key `next` and sift it down to its place.
+  void sift_root(Key next);
   void note_heap_size();
   bool idle() const { return timers_.empty() && heads_.empty(); }
   bool next_is_timer() const {
@@ -158,10 +171,16 @@ class Simulation {
   std::size_t pending_ = 0;
   std::size_t peak_pending_ = 0;
   std::size_t peak_heap_ = 0;
+  std::uint64_t head_pushes_ = 0;
   // One heap in two parts, merged on (time, seq) at every pop: the timers,
   // and the heads of the non-empty lanes (a binary heap by std::push_heap).
+  // While a lane's event runs, its entry stays at heads_'s root: whatever the
+  // event schedules is later in (time, seq), so nothing can displace it.
   std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
   std::vector<Head> heads_;
+  // 1 while a lane event runs: its root entry is not pending and does not
+  // count toward peak_heap.
+  std::size_t firing_lane_ = 0;
   std::vector<Task> timer_fns_;  // by Timer::slot; free ones are empty
   std::vector<std::uint32_t> free_slots_;
 };
@@ -179,8 +198,10 @@ class Lane {
   explicit Lane(Simulation& simulation) : sim_(simulation) {}
   ~Lane() = default;
 
+  using Key = Simulation::Key;
+
   /// The (time, seq) of an event pushed at `time`, clamped to now.
-  std::pair<SimTime, std::uint64_t> stamp(SimTime time) {
+  Key stamp(SimTime time) {
     time = sim_.admit(time);
     // The heap orders lanes by their heads alone, which is only sound while
     // every lane is sorted.
@@ -188,14 +209,17 @@ class Lane {
     last_time_ = time;
     return {time, sim_.next_seq_++};
   }
-  void queue_head(SimTime time, std::uint64_t seq) {
-    sim_.push_head(Simulation::Head{time, seq, this});
+  /// Called when the lane goes from empty to non-empty.
+  void queue_head(Key key) {
+    sim_.push_head(Simulation::Head{key.time, key.seq, this});
   }
 
  private:
   friend class Simulation;
-  /// Pop the head, queue the next one, then run the popped event.
-  virtual void fire_front() = 0;
+  /// Run and pop the head; the successor's key, or none when the lane
+  /// emptied. The lane's heap entry stays put meanwhile: the Simulation
+  /// re-keys or pops it after this returns.
+  virtual std::optional<Key> fire_front() = 0;
 
   Simulation& sim_;
   SimTime last_time_ = 0;
@@ -209,9 +233,9 @@ class EventLane : public Lane {
   /// Queue the Payload built from `args`, in place.
   template <typename... Args>
   void push(SimTime time, Args&&... args) {
-    const auto [at, seq] = stamp(time);
-    items_.emplace_back(at, seq, std::forward<Args>(args)...);
-    if (items_.size() == 1) queue_head(at, seq);
+    const Key key = stamp(time);
+    items_.emplace_back(key, std::forward<Args>(args)...);
+    if (items_.size() == 1) queue_head(key);
   }
 
  protected:
@@ -222,20 +246,19 @@ class EventLane : public Lane {
  private:
   struct Item {
     template <typename... Args>
-    Item(SimTime at, std::uint64_t stamp_seq, Args&&... args)
-        : time(at), seq(stamp_seq), payload(std::forward<Args>(args)...) {}
-    SimTime time;
-    std::uint64_t seq;
+    Item(Key stamp_key, Args&&... args)
+        : key(stamp_key), payload(std::forward<Args>(args)...) {}
+    Key key;
     Payload payload;
   };
 
   /// Runs the front item where it lies: a push from inside `run` appends,
-  /// which leaves it in place. Its successor's head is queued after the run,
-  /// which the heap cannot tell apart, as (time, seq) orders it alone.
-  void fire_front() final {
+  /// which leaves it in place and, as the lane is non-empty, pushes no head.
+  std::optional<Key> fire_front() final {
     run(items_.front().payload);
     items_.pop_front();
-    if (!items_.empty()) queue_head(items_.front().time, items_.front().seq);
+    if (items_.empty()) return std::nullopt;
+    return items_.front().key;
   }
 
   std::deque<Item> items_;

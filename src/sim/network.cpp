@@ -14,8 +14,13 @@ SimTime SimNode::reserve_cpu(SimDuration cpu_cost) {
   return cpu_free_at_;
 }
 
-void SimNode::send(NodeId to, MessagePtr message) {
-  network_->send(id_, to, std::move(message));
+void SimNode::send(NodeId to, const MessagePtr& message) {
+  network_->send(id_, to, message);
+}
+
+void SimNode::multicast(std::span<const NodeId> to,
+                        const MessagePtr& message) {
+  network_->multicast(id_, to, message);
 }
 
 void Network::attach(SimNode* node) {
@@ -48,10 +53,19 @@ std::uint64_t Network::link_bytes(NodeId from, NodeId to) const {
   return slot < link_bytes_.size() ? link_bytes_[slot] : 0;
 }
 
-void Network::send(NodeId from, NodeId to, MessagePtr message) {
+void Network::multicast(NodeId from, std::span<const NodeId> to,
+                        const MessagePtr& message) {
   SRBB_CHECK(from < nodes_.size());
-  SRBB_CHECK(to < nodes_.size());
   const std::size_t bytes = message->size_bytes();
+  const SimDuration tx_delay = transmission_delay(bytes);
+  for (const NodeId receiver : to) {
+    send_one(from, receiver, message, bytes, tx_delay);
+  }
+}
+
+void Network::send_one(NodeId from, NodeId to, const MessagePtr& message,
+                       std::size_t bytes, SimDuration tx_delay) {
+  SRBB_CHECK(to < nodes_.size());
   SimNode* sender = nodes_[from];
 
   sender->stats_.messages_sent += 1;
@@ -104,8 +118,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
       }
       Nic& sender_nic = nics_[from];
       sender_nic.egress_free_at =
-          std::max(sim_.now(), sender_nic.egress_free_at) +
-          transmission_delay(bytes);
+          std::max(sim_.now(), sender_nic.egress_free_at) + tx_delay;
       return;
     }
     if (verdict.copies > 1) {
@@ -114,18 +127,18 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
   }
 
   for (std::uint32_t copy = 0; copy < verdict.copies; ++copy) {
-    deliver_copy(from, to, message, bytes, verdict.extra_delay);
+    deliver_copy(from, to, message, bytes, tx_delay, verdict.extra_delay);
   }
 }
 
 void Network::deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
-                           std::size_t bytes, SimDuration extra_delay) {
+                           std::size_t bytes, SimDuration tx_delay,
+                           SimDuration extra_delay) {
   SimNode* sender = nodes_[from];
   SimNode* receiver = nodes_[to];
 
   // Egress serialization: the sender's NIC pushes one message at a time
   // (a duplicated copy is a real retransmission, so it queues too).
-  const SimDuration tx_delay = transmission_delay(bytes);
   Nic& sender_nic = nics_[from];
   const SimTime egress_done =
       std::max(sim_.now(), sender_nic.egress_free_at) + tx_delay;

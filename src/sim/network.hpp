@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -114,7 +115,10 @@ class SimNode {
   }
 
   /// Convenience: send via the attached network.
-  void send(NodeId to, MessagePtr message);
+  void send(NodeId to, const MessagePtr& message);
+  /// Convenience: one message to each of `to`, in order, via the attached
+  /// network (Network::multicast).
+  void multicast(std::span<const NodeId> to, const MessagePtr& message);
 
  private:
   friend class Network;
@@ -147,7 +151,16 @@ class Network {
   /// out-of-order ids and double-attach are SRBB_CHECK violations.
   void attach(SimNode* node);
 
-  void send(NodeId from, NodeId to, MessagePtr message);
+  /// One copy of `message` to `to`: multicast to a single recipient.
+  void send(NodeId from, NodeId to, const MessagePtr& message) {
+    multicast(from, std::span<const NodeId>(&to, 1), message);
+  }
+  /// `message` to each of `to`, in order. Reads the size and computes the
+  /// wire time once, then runs the per-copy routine (send_one) for each
+  /// recipient, so the stats, fault verdicts, RNG draws and NIC times are
+  /// exactly those of one send per recipient in the same order.
+  void multicast(NodeId from, std::span<const NodeId> to,
+                 const MessagePtr& message);
 
   /// Route every subsequent send through `injector` (not owned; nullptr
   /// disables injection). The injector decides drops, duplicates, reorder
@@ -214,8 +227,14 @@ class Network {
                                     config_.bandwidth_bps * kSecond);
   }
 
+  /// The per-copy routine: sender and link stats, the fault verdict when an
+  /// injector is armed, then each copy onto the wire.
+  void send_one(NodeId from, NodeId to, const MessagePtr& message,
+                std::size_t bytes, SimDuration tx_delay);
+  /// Egress, propagation and ingress of one copy, then its lane push.
   void deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
-                    std::size_t bytes, SimDuration extra_delay);
+                    std::size_t bytes, SimDuration tx_delay,
+                    SimDuration extra_delay);
   void deliver(NodeId to, const Delivery& delivery);
 
   /// nodes_.size()^2 slots, row-major by sender; grown lazily on send so

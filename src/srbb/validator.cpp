@@ -25,6 +25,12 @@ ValidatorNode::ValidatorNode(sim::Simulation& simulation, sim::NodeId id,
       overlay_(overlay),
       pool_(config_.pool),
       pipeline_(*config_.scheme, config_.validation, config_.metrics) {
+  committee_.reserve(config_.n);
+  for (std::uint32_t rank = 0; rank < config_.n; ++rank) {
+    const crypto::Identity member = config_.scheme->make_identity(rank);
+    committee_.push_back(CommitteeKey{member.public_key, member.address()});
+    if (rank != config_.self) peers_.push_back(rank);
+  }
   CatchUpConfig sync_config;
   sync_config.n = config_.n;
   sync_config.self = config_.self;
@@ -137,7 +143,8 @@ void ValidatorNode::handle_message(sim::NodeId from,
     default:
       return;  // not a validator message
   }
-  if (index < next_commit_ && !instances_.contains(index)) {
+  const auto instance = instances_.find(index);
+  if (instance == instances_.end() && index < next_commit_) {
     // The index is committed and its instance pruned (or never rebuilt after
     // a crash wiped it). Don't resurrect a zombie instance; a straggler still
     // working the index is answered from the decided store instead: PULLs
@@ -175,7 +182,10 @@ void ValidatorNode::handle_message(sim::NodeId from,
   // rounds afterwards. With a static committee every view is the same, so no
   // drop is needed and behaviour is unchanged.
   if (tracker_ != nullptr && index > tracker_->max_view_index()) return;
-  instance_for(index).handle(from, message);
+  // Nothing above touched instances_ (a sync start only sends and arms a
+  // timer), so the lookup still stands.
+  (instance != instances_.end() ? *instance->second : make_instance(index))
+      .handle(from, message);
 }
 
 void ValidatorNode::on_stale_pull(sim::NodeId from,
@@ -282,9 +292,11 @@ void ValidatorNode::gossip_tx(const txn::TxPtr& tx,
 // ---------------------------------------------------------------------------
 
 SuperblockInstance& ValidatorNode::instance_for(std::uint64_t index) {
-  auto it = instances_.find(index);
-  if (it != instances_.end()) return *it->second;
+  const auto it = instances_.find(index);
+  return it != instances_.end() ? *it->second : make_instance(index);
+}
 
+SuperblockInstance& ValidatorNode::make_instance(std::uint64_t index) {
   SuperblockConfig sb_config;
   sb_config.n = config_.n;
   sb_config.f = config_.f;
@@ -302,13 +314,11 @@ SuperblockInstance& ValidatorNode::instance_for(std::uint64_t index) {
   sb_config.membership = view;
 
   SuperblockCallbacks cb;
-  cb.broadcast = [this](sim::MessagePtr msg) {
-    for (std::uint32_t peer = 0; peer < config_.n; ++peer) {
-      if (peer != config_.self) send(peer, msg);
-    }
+  cb.broadcast = [this](const sim::MessagePtr& msg) {
+    multicast(peers_, msg);
   };
-  cb.send_to = [this](std::uint32_t peer, sim::MessagePtr msg) {
-    if (peer != config_.self && peer < config_.n) send(peer, std::move(msg));
+  cb.send_to = [this](std::uint32_t peer, const sim::MessagePtr& msg) {
+    if (peer != config_.self && peer < config_.n) send(peer, msg);
   };
   cb.validate_header = [this](const txn::Block& block) {
     return validate_header(block);
@@ -319,8 +329,7 @@ SuperblockInstance& ValidatorNode::instance_for(std::uint64_t index) {
     // removal short-circuits the proposal timeout.
     if (view.committee_n() != 0 && view.removed(proposer)) return false;
     if (rpm_ == nullptr || !config_.rpm) return true;
-    const crypto::Identity who = config_.scheme->make_identity(proposer);
-    return !rpm_->is_excluded(who.address());
+    return !rpm_->is_excluded(committee_[proposer].address);
   };
   cb.on_superblock = [this, index](std::vector<txn::BlockPtr> blocks) {
     on_superblock(index, std::move(blocks));
@@ -332,10 +341,10 @@ SuperblockInstance& ValidatorNode::instance_for(std::uint64_t index) {
   };
   cb.now = [this] { return now(); };
 
-  it = instances_
-           .emplace(index, std::make_unique<SuperblockInstance>(
-                               sb_config, index, std::move(cb)))
-           .first;
+  const auto [it, inserted] = instances_.emplace(
+      index,
+      std::make_unique<SuperblockInstance>(sb_config, index, std::move(cb)));
+  SRBB_CHECK(inserted);
   return *it->second;
 }
 
@@ -390,13 +399,11 @@ bool ValidatorNode::validate_header(const txn::Block& block) const {
   if (block.header.proposer >= config_.n) return false;
   // The certificate key must be the known key of the claimed rank, so a
   // Byzantine validator cannot propose under another's slot.
-  const crypto::Identity expected =
-      config_.scheme->make_identity(block.header.proposer);
+  const CommitteeKey& expected = committee_[block.header.proposer];
   if (block.header.cert.proposer_pubkey != expected.public_key) return false;
   // RPM exclusion (Alg. 2 line 42): correct validators drop blocks from
   // slashed proposers.
-  if (rpm_ != nullptr && config_.rpm &&
-      rpm_->is_excluded(expected.address())) {
+  if (rpm_ != nullptr && config_.rpm && rpm_->is_excluded(expected.address)) {
     return false;
   }
   // Adaptive membership: removal is permanent (slash-beats-disable), so a

@@ -192,6 +192,8 @@ class ValidatorNode : public sim::SimNode {
   void gossip_tx(const txn::TxPtr& tx, std::optional<sim::NodeId> skip);
 
   consensus::SuperblockInstance& instance_for(std::uint64_t index);
+  /// Build the instance for `index`, which must not exist yet.
+  consensus::SuperblockInstance& make_instance(std::uint64_t index);
   void begin_round(std::uint64_t index);
   txn::BlockPtr build_proposal(std::uint64_t index);
   txn::TxPtr make_invalid_tx();
@@ -224,8 +226,16 @@ class ValidatorNode : public sim::SimNode {
     };
   }
 
+  /// A committee member's public key and address, derived once per node.
+  struct CommitteeKey {
+    crypto::PublicKey public_key{};
+    Address address{};
+  };
+
   ValidatorConfig config_;
   crypto::Identity identity_;
+  std::vector<CommitteeKey> committee_;  // by rank
+  std::vector<sim::NodeId> peers_;       // every other rank, ascending
   std::shared_ptr<ExecutionOracle> oracle_;
   std::shared_ptr<rpm::RewardPenaltyMechanism> rpm_;
   sim::GossipOverlay* overlay_;  // also holds this node's seen-gossip bits

@@ -1,16 +1,20 @@
 // Event lanes (sim/event_loop.hpp) against the one-heap engine they replaced
 // (tests/oracle_event_loop.hpp), and the inline sim::Task closures against
 // the std::function ones. Each seed builds a random program of heap timers,
-// post_work on several nodes and network sends with random latency,
-// bandwidth and faults, whose handlers schedule more of the same; in half of
-// the programs some timers re-arm themselves from their own handler at the
-// same sim time, so a freed timer slot is reused at once. Both engines must
-// fire the same (time, id) sequence.
+// post_work on several nodes, network sends and fan-outs (Network::multicast
+// against the oracle's per-copy send looped over the same recipients) with
+// random latency, bandwidth and faults, whose handlers schedule more of the
+// same; in half of the programs some timers re-arm themselves from their own
+// handler at the same sim time, so a freed timer slot is reused at once.
+// Both engines must fire the same (time, id) sequence.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -113,11 +117,23 @@ struct LaneWorld {
   void send(NodeId from, NodeId to, MessagePtr message) {
     net.send(from, to, std::move(message));
   }
+  void multicast(NodeId from, std::span<const NodeId> to,
+                 const MessagePtr& message) {
+    const FaultStats before = faults.stats();
+    net.multicast(from, to, message);
+    const FaultStats& after = faults.stats();
+    if (to.size() > 1 && (after.dropped != before.dropped ||
+                          after.duplicated != before.duplicated ||
+                          after.reordered != before.reordered)) {
+      ++faulted_fanouts;
+    }
+  }
 
   Simulation sim;
   FaultInjector faults;
   Network net;
   std::vector<std::unique_ptr<ProbeNode>> nodes;
+  std::uint64_t faulted_fanouts = 0;  // fan-outs to 2+ with a fault verdict
 };
 
 /// The reference: one heap of every event.
@@ -133,6 +149,10 @@ struct HeapWorld {
   }
   void send(NodeId from, NodeId to, MessagePtr message) {
     net.send(from, to, std::move(message));
+  }
+  void multicast(NodeId from, std::span<const NodeId> to,
+                 const MessagePtr& message) {
+    for (const NodeId receiver : to) net.send(from, receiver, message);
   }
 
   oracle::HeapSimulation sim;
@@ -200,7 +220,7 @@ class Program {
     --budget_;
     const std::uint64_t id = next_id_++;
     const auto node = static_cast<NodeId>(rng_.next_below(spec_.nodes));
-    switch (rng_.next_below(4)) {
+    switch (rng_.next_below(5)) {
       case 0:
         if (spec_.rearm && rng_.next_bool(0.5)) {
           const auto again = static_cast<std::uint32_t>(rng_.next_below(4));
@@ -212,13 +232,28 @@ class Program {
       case 1:
         world_.post_work(node, delay(), [this, id] { fire(id); });
         break;
+      case 2: {
+        // A fan-out to a random subset of the nodes, in random order.
+        std::vector<NodeId> to;
+        for (NodeId peer = 0; peer < spec_.nodes; ++peer) {
+          if (rng_.next_bool(0.6)) {
+            to.insert(to.begin() + static_cast<std::ptrdiff_t>(
+                                       rng_.next_below(to.size() + 1)),
+                      peer);
+          }
+        }
+        world_.multicast(node, to, std::make_shared<Probe>(bytes(), id));
+        break;
+      }
       default: {
         const auto to = static_cast<NodeId>(rng_.next_below(spec_.nodes));
-        const std::size_t bytes =
-            rng_.next_bool(0.3) ? 0 : rng_.next_below(4000);
-        world_.send(node, to, std::make_shared<Probe>(bytes, id));
+        world_.send(node, to, std::make_shared<Probe>(bytes(), id));
       }
     }
+  }
+
+  std::size_t bytes() {
+    return rng_.next_bool(0.3) ? 0 : rng_.next_below(4000);
   }
 
   const Spec& spec_;
@@ -257,6 +292,7 @@ TEST(EventLaneDifferentialCoverage, ProgramsReachFaultsTiesAndDeepLanes) {
   std::uint64_t ties = 0;
   std::uint64_t deep_lane_runs = 0;
   std::uint64_t rearms = 0;
+  std::uint64_t faulted_fanouts = 0;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     const Spec spec = make_spec(seed);
     Program<LaneWorld> program{spec};
@@ -281,6 +317,7 @@ TEST(EventLaneDifferentialCoverage, ProgramsReachFaultsTiesAndDeepLanes) {
     }
     if (world.sim.peak_pending() > 2 * world.sim.peak_heap()) ++deep_lane_runs;
     rearms += outcome.rearms;
+    faulted_fanouts += world.faulted_fanouts;
   }
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(duplicated, 0u);
@@ -289,6 +326,7 @@ TEST(EventLaneDifferentialCoverage, ProgramsReachFaultsTiesAndDeepLanes) {
   EXPECT_GT(ties, 0u);
   EXPECT_GT(deep_lane_runs, 0u);
   EXPECT_GT(rearms, 0u);
+  EXPECT_GT(faulted_fanouts, 0u);
 }
 
 TEST(EventLanes, HeapHoldsOneHeadPerLane) {
@@ -308,6 +346,42 @@ TEST(EventLanes, HeapHoldsOneHeadPerLane) {
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.peak_heap(), 5u);
   EXPECT_EQ(sim.peak_pending(), 4001u);
+}
+
+TEST(EventLanes, FiringLaneKeepsItsHeapEntry) {
+  Simulation sim;
+  WorkLane a{sim};
+  WorkLane b{sim};
+  WorkLane c{sim};
+  std::vector<std::string> order;
+  const auto record = [&order](const char* name) {
+    return [&order, name] { order.emplace_back(name); };
+  };
+  // A run of lane events whose successor precedes every other head: the lane
+  // fires again next, on the heap entry it already has.
+  for (SimTime t = 1; t <= 100; ++t) a.push(t, record("a"));
+  c.push(1000, record("c"));
+  EXPECT_EQ(sim.head_pushes(), 2u);
+  sim.run_until(100);
+  EXPECT_EQ(order, std::vector<std::string>(100, "a"));
+  EXPECT_EQ(sim.events_processed(), 100u);
+  EXPECT_EQ(sim.head_pushes(), 2u);  // no pop-and-push per event
+  EXPECT_EQ(sim.peak_heap(), 2u);
+
+  // Same-time pushes from inside a firing lane event. b's head cannot
+  // displace a's entry, so it fires after a1; it was pushed before a's
+  // successor, so (time, seq) puts it before a2 as well.
+  order.clear();
+  a.push(200, [&] {
+    order.emplace_back("a1");
+    b.push(200, record("b"));
+    a.push(200, record("a2"));
+  });
+  sim.run_until_idle();
+  EXPECT_EQ(order, (std::vector<std::string>{"a1", "b", "a2", "c"}));
+  EXPECT_EQ(sim.head_pushes(), 4u);  // a, emptied, then b; not a2
+  EXPECT_EQ(sim.peak_heap(), 3u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(EventLanes, SameTimeEventsFireInScheduleOrderAcrossLanesAndTimers) {

@@ -364,6 +364,42 @@ TEST(SrbbFaults, LargerCommitteeToleratesMaxSilentFaults) {
   }
 }
 
+// validate_header pins each rank to its own key: a block correctly signed by
+// rank 3 that claims rank 5's slot passes the certificate check, yet every
+// node drops it. The control, the same block signed with rank 5's key, is
+// taken everywhere, so the forged run does reach the check.
+TEST(SrbbNode, ProposalUnderAnotherRanksKeyIsDropped) {
+  for (const bool forged : {true, false}) {
+    NetOptions opts;
+    opts.n = 7;
+    opts.f = 2;
+    opts.behaviors.resize(7);
+    opts.behaviors[5].silent = true;  // rank 5 proposes nothing of its own
+    Net net{opts};
+    const txn::BlockPtr block = txn::seal(
+        txn::make_block(0, 5, 0, Hash32{}, {},
+                        scheme().make_identity(forged ? 3 : 5), scheme()));
+    ASSERT_TRUE(txn::verify_block_certificate(*block, scheme()));
+    auto propose = std::make_shared<consensus::ProposeMsg>();
+    propose->index = 0;
+    propose->block = block;
+    net.sim.schedule_at(millis(1), [&] {
+      for (sim::NodeId rank = 0; rank < 7; ++rank) {
+        if (rank != 5) net.client->send(rank, propose);
+      }
+    });
+    net.run_for(millis(50));
+    for (std::uint32_t rank = 0; rank < 7; ++rank) {
+      if (rank == 5) continue;
+      const consensus::SuperblockInstance* instance =
+          net.validators[rank]->instance(0);
+      ASSERT_NE(instance, nullptr) << rank;
+      EXPECT_EQ(instance->slot_debug(5).has_block, !forged)
+          << "rank " << rank << (forged ? " forged" : " control");
+    }
+  }
+}
+
 TEST(SrbbReception, InvalidClientTxDroppedAtEagerValidation) {
   Net net{NetOptions{}};
   // Zero-balance sender: eager validation must reject it at reception and

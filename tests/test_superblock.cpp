@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -307,6 +308,67 @@ TEST(Superblock, HeaderValidatorCanExcludeProposer) {
   cluster.expect_all_complete_and_equal(3);
   for (const auto& block : cluster.superblocks[0]) {
     EXPECT_NE(block->header.proposer, 2u);
+  }
+}
+
+// A decided slot answers every late EST or AUX with a DECIDED hint. The
+// decision never changes, so each slot builds that message once and every
+// hint shares it.
+TEST(Superblock, LateEstsAfterADecisionShareOneDecidedHint) {
+  SuperblockConfig config;
+  config.n = 4;
+  config.f = 1;
+  config.self = 0;
+  std::vector<std::pair<std::uint32_t, sim::MessagePtr>> hints;
+  SuperblockCallbacks cb;
+  cb.broadcast = [](const sim::MessagePtr&) {};
+  cb.send_to = [&hints](std::uint32_t peer, const sim::MessagePtr& msg) {
+    hints.emplace_back(peer, msg);
+  };
+  cb.on_superblock = [](std::vector<txn::BlockPtr>) {};
+  cb.set_timer = [](SimDuration, std::function<void()>) {};
+  SuperblockInstance node{config, 7, std::move(cb)};
+
+  const auto decided = [](std::uint32_t proposer, bool value) {
+    auto msg = std::make_shared<DecidedMsg>();
+    msg->index = 7;
+    msg->proposer = proposer;
+    msg->value = value;
+    return sim::MessagePtr{msg};
+  };
+  const auto est = [](std::uint32_t proposer, bool value) {
+    auto msg = std::make_shared<BinMsg>();
+    msg->index = 7;
+    msg->proposer = proposer;
+    msg->phase = BinPhase::kEst;
+    msg->value = value;
+    return sim::MessagePtr{msg};
+  };
+  // f + 1 = 2 matching DECIDEDs decide slot 1 to 1 and slot 2 to 0.
+  for (const std::uint32_t peer : {1u, 2u}) {
+    node.handle(peer, decided(1, true));
+    node.handle(peer, decided(2, false));
+  }
+  ASSERT_TRUE(node.slot_debug(1).bin_decided);
+  ASSERT_TRUE(node.slot_debug(2).bin_decided);
+  ASSERT_TRUE(hints.empty());
+
+  // Two late ESTs per slot, from different peers, carrying either value.
+  node.handle(3, est(1, false));
+  node.handle(2, est(1, true));
+  node.handle(3, est(2, true));
+  node.handle(1, est(2, false));
+  ASSERT_EQ(hints.size(), 4u);
+  EXPECT_EQ(hints[0].first, 3u);
+  EXPECT_EQ(hints[1].first, 2u);
+  EXPECT_EQ(hints[0].second.get(), hints[1].second.get());
+  EXPECT_EQ(hints[2].second.get(), hints[3].second.get());
+  for (std::size_t i = 0; i < hints.size(); ++i) {
+    const auto* hint = sim::msg_cast<DecidedMsg>(hints[i].second);
+    ASSERT_NE(hint, nullptr);
+    EXPECT_EQ(hint->index, 7u);
+    EXPECT_EQ(hint->proposer, i < 2 ? 1u : 2u);
+    EXPECT_EQ(hint->value, i < 2);
   }
 }
 

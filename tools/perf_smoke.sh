@@ -44,7 +44,11 @@
 #      (account heads plus slot entries encoded over all roots) stays under
 #      1/4 x state_records (live accounts plus slots at the end) x
 #      state_roots. Exact, so no noise; re-encoding every record at every
-#      root overshoots it.
+#      root overshoots it;
+#  12. a lane event re-keys its heap entry instead of popping and pushing
+#      it: in the gate-6 and gate-8 runs, srbb-sim's sim_head_pushes (lane
+#      heads pushed onto the event heap) stays under sim_events / 10.
+#      Exact, so no noise; a pop and a push per lane event puts it near 1.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -81,7 +85,7 @@ mkdir -p "$out"
 "$build_dir/bench/bench_micro_sim" --benchmark_min_time=0.05 \
     --benchmark_filter='BM_(EventLoopScheduleRun|PostWorkFifoCaptured)/' \
     --benchmark_format=json > "$out/sim.json"
-# One srbb-sim run per scale: its JSON result (gates 8 and 11) and its peak
+# One srbb-sim run per scale: its JSON result (gates 8, 11 and 12) and its peak
 # RSS in KiB (gate 6), from the child's rusage.
 for scale in 0.05 0.1; do
   python3 -c 'import resource, subprocess, sys
@@ -91,7 +95,7 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
       "$out/sim_$scale.json" "$build_dir/tools/srbb-sim" --system srbb \
       --workload fifa --scale "$scale" --json > "$out/rss_$scale.txt"
 done
-# The EVM+DBFT baseline on FIFA (gates 8 and 10).
+# The EVM+DBFT baseline on FIFA (gates 8, 10 and 12).
 "$build_dir/tools/srbb-sim" --system evmdbft --workload fifa --scale 0.05 \
     --json > "$out/sim_evmdbft_0.05.json"
 
@@ -256,6 +260,22 @@ print(f"  fifa-0.05 state_root_records: {records} (must be < {bound:.0f}: "
       f"roots) [{status}]")
 if status == "FAIL":
     failures.append("state-root-records")
+
+# 12. Lane-head pushes per event, the gate-6 and gate-8 runs. A firing lane
+#     keeps its heap entry and re-keys it for its next event, so a head is
+#     pushed only when a lane goes from empty to non-empty. Measured
+#     0.068, 0.022 and 0.009 pushes per event (31,591 / 63,032 / 41,619);
+#     popping and pushing the head per lane event read about 1.0.
+#     Deterministic, so the bound is exact.
+for tag in ("0.05", "0.1", "evmdbft_0.05"):
+    with open(f"{out}/sim_{tag}.json") as fh:
+        run = json.load(fh)
+    pushes, events = run["sim_head_pushes"], run["sim_events"]
+    status = "ok" if pushes < events / 10 else "FAIL"
+    print(f"  fifa-{tag} sim_head_pushes: {pushes} (must be < {events / 10:.0f}"
+          f" = sim_events / 10; {pushes / events:.4f} per event) [{status}]")
+    if status == "FAIL":
+        failures.append(f"head-pushes-{tag}")
 
 if failures:
     print(f"perf_smoke: FAILED ({', '.join(failures)})")

@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
         "\"invalid_discarded\":%llu,\"network_messages\":%llu,"
         "\"network_bytes\":%llu,\"crashed_nodes\":%llu,\"slashes\":%llu,"
         "\"sim_events\":%llu,\"sim_peak_heap\":%llu,"
-        "\"sim_peak_pending\":%llu,\"gossip_seen_rows\":%llu,"
+        "\"sim_peak_pending\":%llu,\"sim_head_pushes\":%llu,"
+        "\"gossip_seen_rows\":%llu,"
         "\"state_roots\":%llu,\"state_root_records\":%llu,"
         "\"state_root_bytes\":%llu,\"state_records\":%llu}\n",
         result.system.c_str(), result.workload.c_str(), scaled.validators,
@@ -209,6 +210,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(result.sim_events),
         static_cast<unsigned long long>(result.sim_peak_heap),
         static_cast<unsigned long long>(result.sim_peak_pending),
+        static_cast<unsigned long long>(result.sim_head_pushes),
         static_cast<unsigned long long>(result.gossip_seen_rows),
         static_cast<unsigned long long>(result.state_roots),
         static_cast<unsigned long long>(result.state_root_records),
