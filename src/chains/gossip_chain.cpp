@@ -103,12 +103,7 @@ void GossipChainNode::gossip_tx(const txn::TxPtr& tx,
   overlay_->seen_ledger().mark(id(), tx->hash);
   auto msg = std::make_shared<node::GossipTxMsg>();
   msg->tx = tx;
-  for (const sim::NodeId peer : overlay_->peers(id())) {
-    if (peer >= config_.n) continue;
-    if (skip.has_value() && peer == *skip) continue;
-    ++metrics_.gossip_txs_sent;
-    send(peer, msg);
-  }
+  metrics_.gossip_txs_sent += overlay_->gossip(*this, config_.n, skip, msg);
 }
 
 void GossipChainNode::on_slot_tick() {
@@ -144,9 +139,7 @@ void GossipChainNode::propose(std::uint64_t slot) {
   auto msg = std::make_shared<GossipBlockMsg>();
   msg->block = block;
   if (config_.preset.gossip_blocks && overlay_ != nullptr) {
-    for (const sim::NodeId peer : overlay_->peers(id())) {
-      if (peer < config_.n) send(peer, msg);
-    }
+    overlay_->gossip(*this, config_.n, std::nullopt, msg);
   } else {
     // No block gossip (Avalanche-style): ship directly to every validator.
     multicast(others_, msg);
@@ -167,9 +160,7 @@ void GossipChainNode::on_block(sim::NodeId from, const txn::BlockPtr& block) {
   if (config_.preset.gossip_blocks && overlay_ != nullptr) {
     auto msg = std::make_shared<GossipBlockMsg>();
     msg->block = block;
-    for (const sim::NodeId peer : overlay_->peers(id())) {
-      if (peer < config_.n && peer != from) send(peer, msg);
-    }
+    overlay_->gossip(*this, config_.n, from, msg);
   }
   sim().schedule_after(config_.preset.consensus_overhead, [this, block] {
     // First block wins a slot (honest leaders do not equivocate here).

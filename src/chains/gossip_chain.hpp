@@ -71,7 +71,6 @@ class GossipChainNode : public sim::SimNode {
 
   const Metrics& metrics() const { return metrics_; }
   const pool::TxPool& tx_pool() const { return pool_; }
-  std::uint64_t committed_height() const { return next_commit_slot_; }
 
  private:
   void on_client_tx(sim::NodeId from, const txn::TxPtr& tx);

@@ -24,8 +24,5 @@ constexpr SimDuration seconds(std::uint64_t n) { return n * kSecond; }
 constexpr double to_seconds(SimDuration d) {
   return static_cast<double>(d) / static_cast<double>(kSecond);
 }
-constexpr SimDuration from_seconds(double s) {
-  return static_cast<SimDuration>(s * static_cast<double>(kSecond));
-}
 
 }  // namespace srbb

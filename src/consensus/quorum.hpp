@@ -105,7 +105,6 @@ class MembershipView {
       : n_(n), f_(f), status_(n, MemberStatus::kActive) {}
 
   std::uint32_t committee_n() const { return n_; }
-  std::uint32_t committee_f() const { return f_; }
 
   MemberStatus status(std::uint32_t rank) const {
     SRBB_CHECK(rank < n_);

@@ -33,7 +33,6 @@ class Evm {
 
   /// Logs emitted by successful frames since the last clear.
   const std::vector<LogEntry>& logs() const { return logs_; }
-  void clear_logs() { logs_.clear(); }
 
   const BlockContext& block() const { return block_; }
   state::StateView& db() { return db_; }

@@ -159,11 +159,6 @@ const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : it->second.get();

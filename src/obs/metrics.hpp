@@ -111,7 +111,6 @@ class Histogram {
   void merge(const Histogram& other);
 
   const HistogramBounds& bounds() const { return bounds_; }
-  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
 
   HistogramSnapshot snapshot() const;
 
@@ -138,7 +137,6 @@ class MetricsRegistry {
       const HistogramBounds& bounds = HistogramBounds::sim_latency());
 
   const Counter* find_counter(std::string_view name) const;
-  const Gauge* find_gauge(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
 
   /// Fold another registry in: counters add, gauges keep the max, histograms

@@ -75,9 +75,6 @@ class RewardPenaltyMechanism {
   /// key the validator proposes blocks with.
   void register_validator(const Address& addr, const U256& deposit);
 
-  bool is_validator(const Address& addr) const {
-    return deposits_.contains(addr);
-  }
   bool is_excluded(const Address& addr) const {
     return excluded_.contains(addr);
   }

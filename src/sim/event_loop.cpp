@@ -10,9 +10,10 @@ SimTime Simulation::admit(SimTime time) {
   return std::max(time, now_);  // no scheduling into the past
 }
 
-void Simulation::note_heap_size() {
-  peak_heap_ =
-      std::max(peak_heap_, timers_.size() + heads_.size() - firing_lane_);
+void Simulation::push(Entry entry) {
+  heap_.push_back(entry);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  peak_heap_ = std::max(peak_heap_, heap_.size() - firing_lane_);
 }
 
 void Simulation::schedule_at(SimTime time, Task fn) {
@@ -26,73 +27,64 @@ void Simulation::schedule_at(SimTime time, Task fn) {
     free_slots_.pop_back();
     timer_fns_[slot] = std::move(fn);
   }
-  timers_.push(Timer{time, next_seq_++, slot});
-  note_heap_size();
-}
-
-void Simulation::push_head(Head head) {
-  ++head_pushes_;
-  heads_.push_back(head);
-  std::push_heap(heads_.begin(), heads_.end(), Later{});
-  note_heap_size();
+  push(Entry{time, next_seq_++, nullptr, slot});
 }
 
 void Simulation::sift_root(Key next) {
-  Head moving = heads_.front();
+  Entry moving = heap_.front();
   moving.time = next.time;
   moving.seq = next.seq;
-  const std::size_t size = heads_.size();
+  const std::size_t size = heap_.size();
   std::size_t hole = 0;
   // std::push_heap's layout: the children of i sit at 2i + 1 and 2i + 2, and
   // no child is earlier than its parent.
   for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
-    if (child + 1 < size && Later{}(heads_[child], heads_[child + 1])) {
+    if (child + 1 < size && Later{}(heap_[child], heap_[child + 1])) {
       ++child;
     }
-    if (!Later{}(moving, heads_[child])) break;
-    heads_[hole] = heads_[child];
+    if (!Later{}(moving, heap_[child])) break;
+    heap_[hole] = heap_[child];
     hole = child;
   }
-  heads_[hole] = moving;
+  heap_[hole] = moving;
 }
 
 void Simulation::fire_next() {
   ++processed_;
   --pending_;
-  if (next_is_timer()) {
-    const Timer timer = timers_.top();
-    timers_.pop();
-    now_ = timer.time;
+  const Entry next = heap_.front();
+  now_ = next.time;
+  if (next.lane == nullptr) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
     // Move out and free the slot first: the handler may schedule, which can
     // reuse the slot or grow timer_fns_.
-    Task fn = std::move(timer_fns_[timer.slot]);
-    free_slots_.push_back(timer.slot);
+    Task fn = std::move(timer_fns_[next.slot]);
+    free_slots_.push_back(next.slot);
     fn();
+    return;
+  }
+  // The entry stays at the root while its event runs (see heap_), so one
+  // sift re-keys it for the lane's next event.
+  firing_lane_ = 1;
+  const std::optional<Key> successor = next.lane->fire_front();
+  firing_lane_ = 0;
+  if (successor.has_value()) {
+    sift_root(*successor);
+    peak_heap_ = std::max(peak_heap_, heap_.size());
   } else {
-    // The entry stays at the root while its event runs (see heads_), so one
-    // sift re-keys it for the lane's next event.
-    Lane* lane = heads_.front().lane;
-    now_ = heads_.front().time;
-    firing_lane_ = 1;
-    const std::optional<Key> next = lane->fire_front();
-    firing_lane_ = 0;
-    if (next.has_value()) {
-      sift_root(*next);
-      note_heap_size();
-    } else {
-      std::pop_heap(heads_.begin(), heads_.end(), Later{});
-      heads_.pop_back();
-    }
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
 }
 
 void Simulation::run_until(SimTime end) {
-  while (!idle() && next_time() <= end) fire_next();
+  while (!heap_.empty() && heap_.front().time <= end) fire_next();
   if (now_ < end) now_ = end;
 }
 
 void Simulation::run_until_idle() {
-  while (!idle()) fire_next();
+  while (!heap_.empty()) fire_next();
 }
 
 }  // namespace srbb::sim

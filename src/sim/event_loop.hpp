@@ -21,7 +21,6 @@
 #include <deque>
 #include <new>
 #include <optional>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -95,7 +94,7 @@ class Task {
   const Ops* ops_ = nullptr;
 };
 
-class Lane;
+class WorkLane;
 
 class Simulation {
  public:
@@ -122,28 +121,24 @@ class Simulation {
   std::uint64_t head_pushes() const { return head_pushes_; }
 
  private:
-  friend class Lane;
+  friend class WorkLane;
 
-  /// A timer's heap entry; its Task waits in timer_fns_[slot], so a sift
-  /// moves 24 bytes and calls no closure code.
-  struct Timer {
-    SimTime time;
-    std::uint64_t seq;  // tie-break: FIFO among same-time events
-    std::uint32_t slot;
-  };
   /// The (time, seq) an event fires at; unique per event.
   struct Key {
     SimTime time;
-    std::uint64_t seq;
+    std::uint64_t seq;  // tie-break: FIFO among same-time events
   };
-  struct Head {
+  /// One heap entry: the head of a non-empty lane, or a timer (lane null)
+  /// whose Task waits in timer_fns_[slot], so a sift moves 32 bytes and
+  /// calls no closure code.
+  struct Entry {
     SimTime time;
     std::uint64_t seq;
-    Lane* lane;
+    WorkLane* lane;
+    std::uint32_t slot;
   };
   struct Later {
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -151,18 +146,9 @@ class Simulation {
 
   /// Clamp `time` to now and count one more pending event.
   SimTime admit(SimTime time);
-  void push_head(Head head);
-  /// Give the root head the key `next` and sift it down to its place.
+  void push(Entry entry);
+  /// Give the root entry the key `next` and sift it down to its place.
   void sift_root(Key next);
-  void note_heap_size();
-  bool idle() const { return timers_.empty() && heads_.empty(); }
-  bool next_is_timer() const {
-    return heads_.empty() ||
-           (!timers_.empty() && Later{}(heads_.front(), timers_.top()));
-  }
-  SimTime next_time() const {
-    return next_is_timer() ? timers_.top().time : heads_.front().time;
-  }
   void fire_next();
 
   SimTime now_ = 0;
@@ -172,105 +158,70 @@ class Simulation {
   std::size_t peak_pending_ = 0;
   std::size_t peak_heap_ = 0;
   std::uint64_t head_pushes_ = 0;
-  // One heap in two parts, merged on (time, seq) at every pop: the timers,
-  // and the heads of the non-empty lanes (a binary heap by std::push_heap).
-  // While a lane's event runs, its entry stays at heads_'s root: whatever the
-  // event schedules is later in (time, seq), so nothing can displace it.
-  std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
-  std::vector<Head> heads_;
+  // A binary heap on (time, seq), by std::push_heap. A timer's entry is
+  // popped before its Task runs. A lane's entry stays at the root while its
+  // event runs: whatever the event schedules is later in (time, seq), so
+  // nothing can displace it, and one sift re-keys it afterwards.
+  std::vector<Entry> heap_;
   // 1 while a lane event runs: its root entry is not pending and does not
   // count toward peak_heap.
   std::size_t firing_lane_ = 0;
-  std::vector<Task> timer_fns_;  // by Timer::slot; free ones are empty
+  std::vector<Task> timer_fns_;  // by Entry::slot; free ones are empty
   std::vector<std::uint32_t> free_slots_;
 };
 
-/// A FIFO event source, in non-decreasing time. While it is non-empty it
-/// keeps exactly one heap entry, for its head, and that entry points at the
-/// lane: a lane with queued events must outlive the run, as the node that
-/// owns it does.
-class Lane {
+/// A FIFO of closures in non-decreasing time: a node's CPU, whose work
+/// finishes in FIFO order; its NIC, whose deliveries finish in FIFO order; a
+/// client's submission schedule. While it is non-empty it keeps exactly one
+/// heap entry, for its head, and that entry points at the lane: a lane with
+/// queued events must outlive the run, as the node that owns it does.
+class WorkLane {
  public:
-  Lane(const Lane&) = delete;
-  Lane& operator=(const Lane&) = delete;
+  explicit WorkLane(Simulation& simulation) : sim_(simulation) {}
+  WorkLane(const WorkLane&) = delete;
+  WorkLane& operator=(const WorkLane&) = delete;
 
- protected:
-  explicit Lane(Simulation& simulation) : sim_(simulation) {}
-  ~Lane() = default;
-
-  using Key = Simulation::Key;
-
-  /// The (time, seq) of an event pushed at `time`, clamped to now.
-  Key stamp(SimTime time) {
+  /// Queue `fn` to run at `time` (clamped to now), its Task built in place.
+  /// Pushes must come in non-decreasing time (an SRBB_CHECK): the heap
+  /// orders lanes by their heads alone, which is only sound while every
+  /// lane is sorted.
+  template <typename Fn>
+  void push(SimTime time, Fn&& fn) {
     time = sim_.admit(time);
-    // The heap orders lanes by their heads alone, which is only sound while
-    // every lane is sorted.
     SRBB_CHECK(time >= last_time_);
     last_time_ = time;
-    return {time, sim_.next_seq_++};
-  }
-  /// Called when the lane goes from empty to non-empty.
-  void queue_head(Key key) {
-    sim_.push_head(Simulation::Head{key.time, key.seq, this});
+    const Key key{time, sim_.next_seq_++};
+    items_.emplace_back(key, std::forward<Fn>(fn));
+    if (items_.size() == 1) {
+      ++sim_.head_pushes_;
+      sim_.push(Simulation::Entry{key.time, key.seq, this, 0});
+    }
   }
 
  private:
   friend class Simulation;
-  /// Run and pop the head; the successor's key, or none when the lane
-  /// emptied. The lane's heap entry stays put meanwhile: the Simulation
-  /// re-keys or pops it after this returns.
-  virtual std::optional<Key> fire_front() = 0;
+  using Key = Simulation::Key;
 
-  Simulation& sim_;
-  SimTime last_time_ = 0;
-};
-
-/// A lane of `Payload`s, each consumed by `run` when its time comes.
-/// Pushes must come in non-decreasing time (an SRBB_CHECK).
-template <typename Payload>
-class EventLane : public Lane {
- public:
-  /// Queue the Payload built from `args`, in place.
-  template <typename... Args>
-  void push(SimTime time, Args&&... args) {
-    const Key key = stamp(time);
-    items_.emplace_back(key, std::forward<Args>(args)...);
-    if (items_.size() == 1) queue_head(key);
-  }
-
- protected:
-  using Lane::Lane;
-  ~EventLane() = default;
-  virtual void run(Payload& payload) = 0;
-
- private:
   struct Item {
-    template <typename... Args>
-    Item(Key stamp_key, Args&&... args)
-        : key(stamp_key), payload(std::forward<Args>(args)...) {}
+    template <typename Fn>
+    Item(Key stamp, Fn&& work) : key(stamp), fn(std::forward<Fn>(work)) {}
     Key key;
-    Payload payload;
+    Task fn;
   };
 
-  /// Runs the front item where it lies: a push from inside `run` appends,
-  /// which leaves it in place and, as the lane is non-empty, pushes no head.
-  std::optional<Key> fire_front() final {
-    run(items_.front().payload);
+  /// Run the front item where it lies, then pop it; the successor's key, or
+  /// none when the lane emptied. A push from inside the Task appends, which
+  /// leaves it in place and, as the lane is non-empty, pushes no head.
+  std::optional<Key> fire_front() {
+    items_.front().fn();
     items_.pop_front();
     if (items_.empty()) return std::nullopt;
     return items_.front().key;
   }
 
+  Simulation& sim_;
+  SimTime last_time_ = 0;
   std::deque<Item> items_;
-};
-
-/// A lane of closures: a node's CPU, whose work finishes in FIFO order.
-class WorkLane final : public EventLane<Task> {
- public:
-  explicit WorkLane(Simulation& simulation) : EventLane(simulation) {}
-
- private:
-  void run(Task& fn) override { fn(); }
 };
 
 }  // namespace srbb::sim

@@ -73,6 +73,17 @@ GossipOverlay::GossipOverlay(std::size_t node_count, std::size_t fanout,
   }
 }
 
+std::size_t GossipOverlay::gossip(SimNode& node, std::size_t limit,
+                                  std::optional<NodeId> skip,
+                                  const MessagePtr& message) {
+  targets_.clear();
+  for (const NodeId peer : peers_[node.id()]) {
+    if (peer < limit && peer != skip) targets_.push_back(peer);
+  }
+  node.multicast(targets_, message);
+  return targets_.size();
+}
+
 bool GossipOverlay::connected() const {
   if (peers_.empty()) return true;
   std::vector<bool> seen(peers_.size(), false);

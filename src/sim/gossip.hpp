@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -45,6 +46,12 @@ class GossipOverlay {
   const std::vector<NodeId>& peers(NodeId node) const { return peers_[node]; }
   std::size_t node_count() const { return peers_.size(); }
 
+  /// Send `message` to `node`'s overlay peers below `limit` (the validators)
+  /// other than `skip`, in overlay order, as one SimNode::multicast; the
+  /// number of copies sent.
+  std::size_t gossip(SimNode& node, std::size_t limit,
+                     std::optional<NodeId> skip, const MessagePtr& message);
+
   /// The transactions each node has seen. One overlay serves one simulation.
   SeenLedger& seen_ledger() { return seen_; }
 
@@ -54,6 +61,9 @@ class GossipOverlay {
  private:
   std::vector<std::vector<NodeId>> peers_;
   SeenLedger seen_;
+  // gossip()'s recipients, reused: multicast only queues deliveries, so no
+  // handler runs (and gossips) while it is filled.
+  std::vector<NodeId> targets_;
 };
 
 }  // namespace srbb::sim

@@ -26,9 +26,7 @@ constexpr std::uint32_t kAwsOneWayMs[10][10] = {
 
 LatencyModel LatencyModel::aws_global() {
   LatencyModel model;
-  model.names_ = {"Bahrain",     "Cape Town", "Milan",  "Mumbai",
-                  "N. Virginia", "Ohio",      "Oregon", "Stockholm",
-                  "Sydney",      "Tokyo"};
+  model.regions_ = 10;
   model.matrix_.resize(100);
   for (std::size_t i = 0; i < 10; ++i) {
     for (std::size_t j = 0; j < 10; ++j) {
@@ -40,16 +38,14 @@ LatencyModel LatencyModel::aws_global() {
 
 LatencyModel LatencyModel::single_region(SimDuration one_way) {
   LatencyModel model;
-  model.names_ = {"Sydney"};
+  model.regions_ = 1;
   model.matrix_ = {one_way};
   return model;
 }
 
 LatencyModel LatencyModel::uniform(std::size_t regions, SimDuration one_way) {
   LatencyModel model;
-  for (std::size_t i = 0; i < regions; ++i) {
-    model.names_.push_back("region-" + std::to_string(i));
-  }
+  model.regions_ = regions;
   model.matrix_.assign(regions * regions, one_way);
   return model;
 }
@@ -65,7 +61,7 @@ SimDuration LatencyModel::sample(RegionId from, RegionId to, Rng& rng) const {
 std::vector<RegionId> LatencyModel::assign_round_robin(std::size_t n) const {
   std::vector<RegionId> out(n);
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<RegionId>(i % names_.size());
+    out[i] = static_cast<RegionId>(i % regions_);
   }
   return out;
 }

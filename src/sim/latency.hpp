@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -24,15 +23,12 @@ class LatencyModel {
   /// Uniform synthetic mesh for unit tests.
   static LatencyModel uniform(std::size_t regions, SimDuration one_way);
 
-  std::size_t region_count() const { return names_.size(); }
-  const std::string& region_name(RegionId region) const {
-    return names_[region];
-  }
+  std::size_t region_count() const { return regions_; }
 
   /// Sampled one-way delay between regions (base +/- jitter).
   SimDuration sample(RegionId from, RegionId to, Rng& rng) const;
   SimDuration base(RegionId from, RegionId to) const {
-    return matrix_[from * names_.size() + to];
+    return matrix_[from * regions_ + to];
   }
 
   /// Spread n nodes across regions round-robin (the paper balances 200
@@ -40,7 +36,7 @@ class LatencyModel {
   std::vector<RegionId> assign_round_robin(std::size_t n) const;
 
  private:
-  std::vector<std::string> names_;
+  std::size_t regions_ = 0;
   std::vector<SimDuration> matrix_;  // row-major one-way base delays
   double jitter_fraction_ = 0.1;
 };

@@ -32,25 +32,6 @@ void Network::attach(SimNode* node) {
   SRBB_CHECK(node->id() == nodes_.size());
   node->network_ = this;
   nodes_.push_back(node);
-  nics_.emplace_back(*this, node->id());
-}
-
-void Network::ensure_link_stats() {
-  const std::size_t slots = nodes_.size() * nodes_.size();
-  if (link_messages_.size() < slots) {
-    link_messages_.resize(slots, 0);
-    link_bytes_.resize(slots, 0);
-  }
-}
-
-std::uint64_t Network::link_messages(NodeId from, NodeId to) const {
-  const std::size_t slot = link_slot(from, to);
-  return slot < link_messages_.size() ? link_messages_[slot] : 0;
-}
-
-std::uint64_t Network::link_bytes(NodeId from, NodeId to) const {
-  const std::size_t slot = link_slot(from, to);
-  return slot < link_bytes_.size() ? link_bytes_[slot] : 0;
 }
 
 void Network::multicast(NodeId from, std::span<const NodeId> to,
@@ -72,11 +53,6 @@ void Network::send_one(NodeId from, NodeId to, const MessagePtr& message,
   sender->stats_.bytes_sent += bytes;
   total_messages_ += 1;
   total_bytes_ += bytes;
-  if (link_stats_enabled_) {
-    ensure_link_stats();
-    link_messages_[link_slot(from, to)] += 1;
-    link_bytes_[link_slot(from, to)] += bytes;
-  }
 
   FaultInjector::Verdict verdict;
   if (faults_ != nullptr) {
@@ -116,9 +92,8 @@ void Network::send_one(NodeId from, NodeId to, const MessagePtr& message,
       } else {
         sender->stats_.messages_dropped += 1;
       }
-      Nic& sender_nic = nics_[from];
-      sender_nic.egress_free_at =
-          std::max(sim_.now(), sender_nic.egress_free_at) + tx_delay;
+      sender->egress_free_at_ =
+          std::max(sim_.now(), sender->egress_free_at_) + tx_delay;
       return;
     }
     if (verdict.copies > 1) {
@@ -139,10 +114,9 @@ void Network::deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
 
   // Egress serialization: the sender's NIC pushes one message at a time
   // (a duplicated copy is a real retransmission, so it queues too).
-  Nic& sender_nic = nics_[from];
   const SimTime egress_done =
-      std::max(sim_.now(), sender_nic.egress_free_at) + tx_delay;
-  sender_nic.egress_free_at = egress_done;
+      std::max(sim_.now(), sender->egress_free_at_) + tx_delay;
+  sender->egress_free_at_ = egress_done;
 
   // Propagation across the wire, plus any injected reorder/spike delay.
   const SimDuration propagation =
@@ -150,24 +124,32 @@ void Network::deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
       extra_delay;
 
   // Ingress serialization at the receiver.
-  Nic& receiver_nic = nics_[to];
   const SimTime arrival = egress_done + propagation;
   const SimTime ingress_done =
-      std::max(arrival, receiver_nic.ingress_free_at) + tx_delay;
-  receiver_nic.ingress_free_at = ingress_done;
+      std::max(arrival, receiver->ingress_free_at_) + tx_delay;
+  receiver->ingress_free_at_ = ingress_done;
 
-  receiver_nic.ingress.push(ingress_done, Delivery{from, bytes, message});
+  // The init-capture makes the copy a non-const shared_ptr, so moving the
+  // closure into its Task moves the pointer instead of copying it.
+  auto delivery = [this, receiver, from, bytes, msg = message] {
+    deliver(receiver, from, bytes, msg);
+  };
+  static_assert(sizeof(delivery) <= Task::kCapacity,
+                "a delivery must fit inline in its Task");
+  receiver->ingress_.push(ingress_done, std::move(delivery));
   peak_in_flight_ = std::max(peak_in_flight_, ++in_flight_);
 }
 
-void Network::deliver(NodeId to, const Delivery& delivery) {
+void Network::deliver(SimNode* receiver, NodeId from, std::size_t bytes,
+                      const MessagePtr& message) {
   --in_flight_;
   // A node that crashed while the message was in flight loses it.
-  if (faults_ != nullptr && faults_->node_down(to, sim_.now())) return;
-  SimNode* receiver = nodes_[to];
+  if (faults_ != nullptr && faults_->node_down(receiver->id(), sim_.now())) {
+    return;
+  }
   receiver->stats_.messages_received += 1;
-  receiver->stats_.bytes_received += delivery.bytes;
-  receiver->handle_message(delivery.from, delivery.message);
+  receiver->stats_.bytes_received += bytes;
+  receiver->handle_message(from, message);
 }
 
 }  // namespace srbb::sim

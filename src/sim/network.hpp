@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -130,7 +129,17 @@ class SimNode {
   RegionId region_;
   Network* network_ = nullptr;
   SimTime cpu_free_at_ = 0;
+  // The NIC, which the Network drives: one message serialized out and one
+  // serialized in at a time.
+  SimTime egress_free_at_ = 0;
+  SimTime ingress_free_at_ = 0;
+  // Every lane of this node: the CPU's work, and the deliveries its NIC has
+  // serialized in (their finish times never decrease: each is
+  // max(arrival, ingress_free_at_) + wire time, and ingress_free_at_ is the
+  // previous one's). Queued events point at these lanes, so a node must
+  // outlive the run it takes part in.
   WorkLane cpu_{sim_};
+  WorkLane ingress_{sim_};
   NodeStats stats_;
 };
 
@@ -167,7 +176,6 @@ class Network {
   /// delays, and partition/crash blocking; the Network stays the sole owner
   /// of the queueing model.
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
-  FaultInjector* fault_injector() { return faults_; }
 
   std::size_t node_count() const { return nodes_.size(); }
   SimNode* node(NodeId id) { return nodes_[id]; }
@@ -184,65 +192,23 @@ class Network {
   /// blocking) into `trace`. Null disables (the default).
   void set_trace(obs::TraceSink* trace) { trace_ = trace; }
 
-  /// Start accumulating a per-(from,to)-link message/byte matrix. Off by
-  /// default: it costs n^2 counters, which the congestion benches at n=200
-  /// don't want on every send.
-  void enable_link_stats() { link_stats_enabled_ = true; }
-  bool link_stats_enabled() const { return link_stats_enabled_; }
-  std::uint64_t link_messages(NodeId from, NodeId to) const;
-  std::uint64_t link_bytes(NodeId from, NodeId to) const;
-
  private:
-  /// A message on the wire, queued on its receiver's ingress lane until it
-  /// has been serialized in.
-  struct Delivery {
-    NodeId from = 0;
-    std::size_t bytes = 0;
-    MessagePtr message;
-  };
-
-  /// Deliveries to one receiver. Their finish times never decrease: each is
-  /// max(arrival, ingress_free_at) + tx_delay, and ingress_free_at is the
-  /// previous one's.
-  class Ingress final : public EventLane<Delivery> {
-   public:
-    Ingress(Network& network, NodeId to)
-        : EventLane(network.sim_), network_(network), to_(to) {}
-
-   private:
-    void run(Delivery& delivery) override { network_.deliver(to_, delivery); }
-    Network& network_;
-    NodeId to_;
-  };
-
-  struct Nic {
-    Nic(Network& network, NodeId id) : ingress(network, id) {}
-    SimTime egress_free_at = 0;
-    SimTime ingress_free_at = 0;
-    Ingress ingress;
-  };
-
   SimDuration transmission_delay(std::size_t bytes) const {
     return static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 /
                                     config_.bandwidth_bps * kSecond);
   }
 
-  /// The per-copy routine: sender and link stats, the fault verdict when an
-  /// injector is armed, then each copy onto the wire.
+  /// The per-copy routine: sender stats, the fault verdict when an injector
+  /// is armed, then each copy onto the wire.
   void send_one(NodeId from, NodeId to, const MessagePtr& message,
                 std::size_t bytes, SimDuration tx_delay);
   /// Egress, propagation and ingress of one copy, then its lane push.
   void deliver_copy(NodeId from, NodeId to, const MessagePtr& message,
                     std::size_t bytes, SimDuration tx_delay,
                     SimDuration extra_delay);
-  void deliver(NodeId to, const Delivery& delivery);
-
-  /// nodes_.size()^2 slots, row-major by sender; grown lazily on send so
-  /// attach order doesn't matter.
-  std::size_t link_slot(NodeId from, NodeId to) const {
-    return static_cast<std::size_t>(from) * nodes_.size() + to;
-  }
-  void ensure_link_stats();
+  /// One copy off `receiver`'s ingress lane and into its handler.
+  void deliver(SimNode* receiver, NodeId from, std::size_t bytes,
+               const MessagePtr& message);
 
   Simulation& sim_;
   NetworkConfig config_;
@@ -250,14 +216,10 @@ class Network {
   FaultInjector* faults_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
   std::vector<SimNode*> nodes_;
-  std::deque<Nic> nics_;  // a deque: the heap points at each ingress lane
   std::size_t in_flight_ = 0;
   std::size_t peak_in_flight_ = 0;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
-  bool link_stats_enabled_ = false;
-  std::vector<std::uint64_t> link_messages_;
-  std::vector<std::uint64_t> link_bytes_;
 };
 
 }  // namespace srbb::sim

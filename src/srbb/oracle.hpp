@@ -96,7 +96,6 @@ class ExecutionOracle {
     return index.has_value() && *index < frontier;
   }
   const state::StateDB& db() const { return db_; }
-  state::StateDB& mutable_db() { return db_; }
 
   /// Wipe all execution state back to genesis (a validator crash losing its
   /// volatile state). Only meaningful for a privately owned oracle — resetting

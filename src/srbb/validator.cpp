@@ -279,12 +279,8 @@ void ValidatorNode::gossip_tx(const txn::TxPtr& tx,
   overlay_->seen_ledger().mark(id(), tx->hash);
   auto msg = std::make_shared<GossipTxMsg>();
   msg->tx = tx;
-  for (const sim::NodeId peer : overlay_->peers(id())) {
-    if (peer >= config_.n) continue;  // only validators gossip
-    if (skip.has_value() && peer == *skip) continue;
-    ++metrics_.gossip_txs_sent;
-    send(peer, msg);
-  }
+  // Only validators gossip.
+  metrics_.gossip_txs_sent += overlay_->gossip(*this, config_.n, skip, msg);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,11 +22,6 @@ struct Account {
   /// canonical empty-code hash on read.
   Hash32 code_keccak;
   std::unordered_map<Hash32, U256, Hash32Hasher> storage;
-
-  bool is_contract() const { return !code.empty(); }
-  bool is_empty() const {
-    return nonce == 0 && balance.is_zero() && code.empty() && storage.empty();
-  }
 };
 
 }  // namespace srbb::state

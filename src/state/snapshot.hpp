@@ -32,14 +32,12 @@ class FlatSnapshot {
   /// An account left the resident map (deleted or evicted by the caller).
   void note_erased(const Address& addr);
   bool resident(const Address& addr) const { return resident_.contains(addr); }
-  std::size_t resident_count() const { return resident_.size(); }
 
   // --- dirty tracking ---
   /// The account's record changed since the last flush; it must be written
   /// to the backend at the next commit and is exempt from eviction.
   void mark_dirty(const Address& addr) { dirty_.insert(addr); }
   bool dirty(const Address& addr) const { return dirty_.contains(addr); }
-  std::size_t dirty_count() const { return dirty_.size(); }
   /// Drain the dirty set in ascending address order (flush iteration must be
   /// deterministic — the backend's record sequence is replayed on reopen).
   std::vector<Address> take_dirty_sorted();

@@ -108,8 +108,6 @@ class ParallelExecutor {
   /// coordinator thread only, so totals reconcile exactly with the stats.
   void set_metrics(obs::MetricsRegistry* registry);
 
-  std::size_t worker_count() const { return pool_.thread_count(); }
-
  private:
   ThreadPool pool_;
   std::size_t max_retries_;

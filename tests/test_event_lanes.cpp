@@ -384,6 +384,35 @@ TEST(EventLanes, FiringLaneKeepsItsHeapEntry) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+// peak_heap counts pending entries only. A firing timer has left the heap
+// before its handler runs, and a firing lane's entry, which stays at the root
+// while its event runs, is not counted meanwhile.
+TEST(EventLanes, FiringTimerLeavesTheHeapBeforeItRuns) {
+  Simulation sim;
+  int fired = 0;
+  sim.schedule_at(1, [&] {
+    sim.schedule_at(2, [&fired] { ++fired; });
+    ++fired;
+  });
+  sim.run_until_idle();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.peak_heap(), 1u);
+}
+
+TEST(EventLanes, FiringLaneEntryIsNotCountedInPeakHeap) {
+  Simulation sim;
+  WorkLane lane{sim};
+  int fired = 0;
+  lane.push(1, [&] {
+    sim.schedule_at(2, [&fired] { ++fired; });
+    ++fired;
+  });
+  sim.run_until_idle();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.peak_heap(), 1u);
+  EXPECT_EQ(sim.head_pushes(), 1u);
+}
+
 TEST(EventLanes, SameTimeEventsFireInScheduleOrderAcrossLanesAndTimers) {
   Simulation sim;
   WorkLane a{sim};

@@ -1,8 +1,8 @@
 // sim::Task (sim/event_loop.hpp): the inline, move-only closure every timer
 // and lane item is stored as. Its capture must be destroyed exactly once on
 // every path, a capture that does not fit must not compile, and a 48-byte
-// capture must never reach the heap. A replacement operator new in this
-// binary counts the heap blocks.
+// capture (a network delivery among them) must never reach the heap. A
+// replacement operator new in this binary counts the heap blocks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -165,6 +165,39 @@ TEST(Task, PendingLaneItemsAreDestroyedWithTheLane) {
     EXPECT_EQ(token.use_count(), 9);
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+struct Ping final : Message {
+  std::size_t size_bytes() const override { return 100; }
+  const char* type() const override { return "ping"; }
+};
+
+// A delivery is a Task on the receiver's ingress lane, its capture inline:
+// the only blocks a burst costs are the lane deque's, about one per seven
+// queued deliveries. The bound is the one bench_micro_sim's allocs_per_event
+// must meet (tools/perf_smoke.sh gate 9).
+TEST(Task, DeliveryAllocatesNothingOfItsOwn) {
+  constexpr std::size_t kDeliveries = 7000;
+  Simulation sim;
+  Network net{sim, NetworkConfig{}};
+  IdleNode sender{sim, 0, 0};
+  IdleNode receiver{sim, 1, 0};
+  net.attach(&sender);
+  net.attach(&receiver);
+  const MessagePtr ping = std::make_shared<Ping>();
+  // Warm up: the lanes and their deque maps reach their working size.
+  for (std::size_t i = 0; i < kDeliveries; ++i) net.send(0, 1, ping);
+  sim.run_until_idle();
+
+  const std::size_t before = g_news;
+  for (std::size_t i = 0; i < kDeliveries; ++i) net.send(0, 1, ping);
+  EXPECT_EQ(ping.use_count(), static_cast<long>(1 + kDeliveries));
+  sim.run_until_idle();
+  const std::size_t news = g_news - before;
+
+  EXPECT_EQ(receiver.stats().messages_received, 2 * kDeliveries);
+  EXPECT_EQ(ping.use_count(), 1);
+  EXPECT_LT(static_cast<double>(news) / kDeliveries, 0.25) << news;
 }
 
 TEST(Task, ConstructMoveAndInvokeNeverAllocate) {
