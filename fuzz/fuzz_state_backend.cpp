@@ -75,7 +75,7 @@ void run_op_differential(ByteStream in) {
         break;
       case 2: {
         const Hash32 slot = slot_of(in.next() % 4);
-        const U256 value{std::uint64_t{in.next() % 4}};  // zero clears
+        const U256 value{static_cast<std::uint64_t>(in.next() % 4)};  // zero clears
         for (StateDB* db : dbs) db->set_storage(addr, slot, value);
         break;
       }

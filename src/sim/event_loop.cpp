@@ -54,6 +54,7 @@ void Simulation::fire_next() {
   --pending_;
   const Entry next = heap_.front();
   now_ = next.time;
+  frontier_ = Key{next.time, next.seq};
   if (next.lane == nullptr) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
@@ -81,10 +82,14 @@ void Simulation::fire_next() {
 void Simulation::run_until(SimTime end) {
   while (!heap_.empty() && heap_.front().time <= end) fire_next();
   if (now_ < end) now_ = end;
+  // Every event up to `end` has fired, and any claimed key has a seq below
+  // next_seq_.
+  if (end >= frontier_.time) frontier_ = Key{end, next_seq_};
 }
 
 void Simulation::run_until_idle() {
   while (!heap_.empty()) fire_next();
+  frontier_ = Key{now_, next_seq_};
 }
 
 }  // namespace srbb::sim

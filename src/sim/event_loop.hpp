@@ -14,11 +14,14 @@
 // firing allocate nothing per event (docs/PERF.md §10). A firing lane keeps
 // its heap entry: its successor's key replaces the root and sifts down once,
 // so a lane event costs one sift, not a pop and a push (docs/PERF.md §14).
+// A lane keeps its items in fixed-size blocks and recycles a drained one, so
+// a busy lane calls the allocator about once per block of events
+// (docs/PERF.md §16).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <new>
 #include <optional>
 #include <type_traits>
@@ -94,10 +97,100 @@ class Task {
   const Ops* ops_ = nullptr;
 };
 
+/// A FIFO kept in a chain of fixed-size blocks of about 4 KB. An element
+/// never moves once built, so one can run in place while more are appended
+/// behind it. A drained block becomes the one spare (a second is freed), and
+/// an emptied FIFO keeps its last block, so a FIFO whose length hovers calls
+/// the allocator about once per block's worth of elements and never holds
+/// more than one block it is not using.
+template <typename T>
+class BlockFifo {
+ public:
+  static constexpr std::size_t kBlockBytes = 4096;
+  static constexpr std::size_t kPerBlock = std::max<std::size_t>(
+      1, (kBlockBytes - sizeof(void*)) / sizeof(T));
+
+  BlockFifo() = default;
+  BlockFifo(const BlockFifo&) = delete;
+  BlockFifo& operator=(const BlockFifo&) = delete;
+  ~BlockFifo() {
+    clear();
+    delete head_;  // the emptied FIFO's last block, if any
+    delete spare_;
+  }
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  T& front() { return head_->at(head_index_); }
+
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
+    if (tail_ == nullptr || tail_index_ == kPerBlock) grow();
+    ::new (tail_->slot(tail_index_)) T(std::forward<Args>(args)...);
+    ++tail_index_;
+    ++size_;
+  }
+
+  void pop_front() {
+    front().~T();
+    if (--size_ == 0) {
+      // The last element was the tail block's: start that block over.
+      head_index_ = tail_index_ = 0;
+    } else if (++head_index_ == kPerBlock) {
+      Block* drained = std::exchange(head_, head_->next);
+      head_index_ = 0;
+      if (spare_ == nullptr) {
+        spare_ = drained;
+      } else {
+        delete drained;
+      }
+    }
+  }
+
+  void clear() {
+    while (!empty()) pop_front();
+  }
+
+ private:
+  struct Block {
+    Block* next = nullptr;
+    alignas(T) unsigned char bytes[kPerBlock * sizeof(T)];
+    void* slot(std::size_t i) { return bytes + i * sizeof(T); }
+    T& at(std::size_t i) { return *std::launder(static_cast<T*>(slot(i))); }
+  };
+
+  /// Link a block (the spare, else a new one) after the tail.
+  void grow() {
+    Block* block = spare_ != nullptr ? std::exchange(spare_, nullptr)
+                                     : new Block;
+    block->next = nullptr;
+    if (tail_ == nullptr) {
+      head_ = block;
+    } else {
+      tail_->next = block;
+    }
+    tail_ = block;
+    tail_index_ = 0;
+  }
+
+  Block* head_ = nullptr;  // holds the front, at head_index_
+  Block* tail_ = nullptr;  // the next element goes at tail_index_
+  Block* spare_ = nullptr;
+  std::size_t head_index_ = 0;
+  std::size_t tail_index_ = 0;
+  std::size_t size_ = 0;
+};
+
 class WorkLane;
 
 class Simulation {
  public:
+  /// The (time, seq) an event fires at; unique per event.
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;  // tie-break: FIFO among same-time events
+  };
+
   SimTime now() const { return now_; }
 
   void schedule_at(SimTime time, Task fn);
@@ -120,14 +213,24 @@ class Simulation {
   /// to non-empty. A lane that stays busy re-keys its entry instead.
   std::uint64_t head_pushes() const { return head_pushes_; }
 
+  /// The key an event at `time` (clamped to now) would get if it were
+  /// scheduled now, its seq drawn from the one counter, for an event whose
+  /// outcome is known when it is scheduled: its owner queues nothing and
+  /// settles it once passed() holds. It does not count as pending.
+  Key claim_key(SimTime time) {
+    return Key{std::max(time, now_), next_seq_++};
+  }
+  /// Whether an event keyed `key` would have fired by now. Inside an event,
+  /// the events before it have; between runs, every event up to the end of
+  /// the last run_until has, and after run_until_idle every event up to the
+  /// last one that fired.
+  bool passed(Key key) const {
+    return key.time < frontier_.time ||
+           (key.time == frontier_.time && key.seq < frontier_.seq);
+  }
+
  private:
   friend class WorkLane;
-
-  /// The (time, seq) an event fires at; unique per event.
-  struct Key {
-    SimTime time;
-    std::uint64_t seq;  // tie-break: FIFO among same-time events
-  };
   /// One heap entry: the head of a non-empty lane, or a timer (lane null)
   /// whose Task waits in timer_fns_[slot], so a sift moves 32 bytes and
   /// calls no closure code.
@@ -158,6 +261,9 @@ class Simulation {
   std::size_t peak_pending_ = 0;
   std::size_t peak_heap_ = 0;
   std::uint64_t head_pushes_ = 0;
+  // passed() holds for every key before this one: the firing event's key,
+  // or, after a run, the end of the run and the next seq.
+  Key frontier_{0, 0};
   // A binary heap on (time, seq), by std::push_heap. A timer's entry is
   // popped before its Task runs. A lane's entry stays at the root while its
   // event runs: whatever the event schedules is later in (time, seq), so
@@ -176,7 +282,18 @@ class Simulation {
 /// heap entry, for its head, and that entry points at the lane: a lane with
 /// queued events must outlive the run, as the node that owns it does.
 class WorkLane {
+  using Key = Simulation::Key;
+  struct Item {
+    template <typename Fn>
+    Item(Key stamp, Fn&& work) : key(stamp), fn(std::forward<Fn>(work)) {}
+    Key key;
+    Task fn;
+  };
+
  public:
+  /// Items per storage block: 56 of today's 72-byte items.
+  static constexpr std::size_t kItemsPerBlock = BlockFifo<Item>::kPerBlock;
+
   explicit WorkLane(Simulation& simulation) : sim_(simulation) {}
   WorkLane(const WorkLane&) = delete;
   WorkLane& operator=(const WorkLane&) = delete;
@@ -200,18 +317,11 @@ class WorkLane {
 
  private:
   friend class Simulation;
-  using Key = Simulation::Key;
-
-  struct Item {
-    template <typename Fn>
-    Item(Key stamp, Fn&& work) : key(stamp), fn(std::forward<Fn>(work)) {}
-    Key key;
-    Task fn;
-  };
 
   /// Run the front item where it lies, then pop it; the successor's key, or
   /// none when the lane emptied. A push from inside the Task appends, which
-  /// leaves it in place and, as the lane is non-empty, pushes no head.
+  /// leaves it in place (a full block links a new one; none moves) and, as
+  /// the lane is non-empty, pushes no head.
   std::optional<Key> fire_front() {
     items_.front().fn();
     items_.pop_front();
@@ -221,7 +331,7 @@ class WorkLane {
 
   Simulation& sim_;
   SimTime last_time_ = 0;
-  std::deque<Item> items_;
+  BlockFifo<Item> items_;
 };
 
 }  // namespace srbb::sim

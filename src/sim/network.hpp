@@ -98,6 +98,7 @@ class SimNode {
   NodeId id() const { return id_; }
   RegionId region() const { return region_; }
   Simulation& sim() { return sim_; }
+  const Simulation& sim() const { return sim_; }
   SimTime now() const { return sim_.now(); }
   const NodeStats& stats() const { return stats_; }
 
@@ -111,6 +112,14 @@ class SimNode {
   template <typename Fn>
   void post_work(SimDuration cpu_cost, Fn&& fn) {
     cpu_.push(reserve_cpu(cpu_cost), std::forward<Fn>(fn));
+  }
+
+  /// Charge `cpu_cost` on this node's core as post_work would, but queue
+  /// nothing: for work whose outcome is known when it is charged. Returns
+  /// the key its event would have fired at; Simulation::passed says when
+  /// that is.
+  Simulation::Key charge_work(SimDuration cpu_cost) {
+    return sim_.claim_key(reserve_cpu(cpu_cost));
   }
 
   /// Convenience: send via the attached network.

@@ -248,6 +248,15 @@ void ValidatorNode::on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx) {
   // copy costs one seen-ledger lookup, never a second validation or pool
   // slot. Gossip travels only over the overlay, which owns the ledger.
   SRBB_CHECK(overlay_ != nullptr);
+  settle_dedup_credits();
+  // A copy whose hash is already in this node's seen row is a duplicate
+  // whatever happens before its lookup finishes: the row only grows until
+  // crash(), which also disarms the lookup. So charge the lookup's CPU and
+  // count it when it would have finished, without queuing it.
+  if (overlay_->seen_ledger().seen(id(), tx->hash)) {
+    dedup_credits_.emplace_back(charge_work(config_.costs.gossip_dedup));
+    return;
+  }
   post_work(config_.costs.gossip_dedup, guarded([this, from, tx] {
     if (overlay_->seen_ledger().seen(id(), tx->hash) ||
         oracle_->committed_below(tx->hash, next_commit_) ||
@@ -267,6 +276,13 @@ void ValidatorNode::on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx) {
       gossip_tx(tx, from);
     }));
   }));
+}
+
+void ValidatorNode::settle_dedup_credits() const {
+  while (!dedup_credits_.empty() && sim().passed(dedup_credits_.front())) {
+    dedup_credits_.pop_front();
+    ++metrics_.gossip_dups_suppressed;
+  }
 }
 
 void ValidatorNode::admit_to_pool(const txn::TxPtr& tx) {
@@ -685,6 +701,9 @@ void ValidatorNode::crash() {
   syncing_ = false;
   sync_caught_up_ = false;
   sync_frontier_ = 0;
+  // Decided dedups whose lookup has not finished die with the closures.
+  settle_dedup_credits();
+  dedup_credits_.clear();
   ++epoch_;  // disarm every queued closure (CPU work, timers, round pacing)
   ++metrics_.crashes;
   sync_->cancel();

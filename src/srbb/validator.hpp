@@ -165,7 +165,10 @@ class ValidatorNode : public sim::SimNode {
   void handle_message(sim::NodeId from, const sim::MessagePtr& message) override;
 
   // --- inspection ---
-  const Metrics& metrics() const { return metrics_; }
+  const Metrics& metrics() const {
+    settle_dedup_credits();
+    return metrics_;
+  }
   const pool::TxPool& tx_pool() const { return pool_; }
   std::uint64_t chain_height() const { return next_commit_; }
   const std::vector<Hash32>& chain() const { return chain_; }
@@ -188,6 +191,8 @@ class ValidatorNode : public sim::SimNode {
  private:
   void on_client_tx(sim::NodeId from, const txn::TxPtr& tx);
   void on_gossip_tx(sim::NodeId from, const txn::TxPtr& tx);
+  /// Count each decided dedup (dedup_credits_) whose lookup has finished.
+  void settle_dedup_credits() const;
   void admit_to_pool(const txn::TxPtr& tx);
   void gossip_tx(const txn::TxPtr& tx, std::optional<sim::NodeId> skip);
 
@@ -278,7 +283,13 @@ class ValidatorNode : public sim::SimNode {
   /// genesis, and the replay regrows the identical view sequence.
   std::unique_ptr<rpm::ReliabilityTracker> tracker_;
 
-  Metrics metrics_;
+  // Read through metrics(), which first settles dedup_credits_.
+  mutable Metrics metrics_;
+  // One entry per gossiped copy that arrived already seen: the key its
+  // dedup lookup's event would have fired at, in firing order
+  // (on_gossip_tx). Each adds one gossip_dups_suppressed when its key
+  // passes; crash() drops the rest.
+  mutable sim::BlockFifo<sim::Simulation::Key> dedup_credits_;
 
   // Observability (DESIGN.md §8): registered once in the constructor, null
   // when disabled. The timestamp maps exist only while observability is on

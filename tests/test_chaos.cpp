@@ -78,6 +78,7 @@ struct ChaosOptions {
   /// disabled list. ChaosChurn.* scenarios set this.
   bool adaptive = false;
   SimDuration rebroadcast_interval = millis(200);
+  CostModel costs;
   sim::FaultPlan plan;
   // Workload: `tx_count` transfers, one every `tx_interval`, submitted
   // round-robin across validators starting at t = 100ms.
@@ -137,6 +138,7 @@ struct ChaosNet {
       config.min_block_interval = millis(100);
       config.proposal_timeout = millis(300);
       config.rebroadcast_interval = opts.rebroadcast_interval;
+      config.costs = opts.costs;
       // Replicated execution, reset on crash, unless the oracle is shared.
       config.oracle_private = !opts.shared_oracle;
       // The default sync backoff (250ms << 4 = 4s cap) is sized for WAN
@@ -743,6 +745,168 @@ TEST(ChaosGossip, CrashRestartForgetsOnlyItsOwnBits) {
     return net.fingerprint();
   };
   EXPECT_EQ(run(), run());
+}
+
+// Gossip mode under duplicated and reordered gossip, one crash and restart,
+// and enough load to back the validators' CPUs up. Most gossiped copies
+// arrive already seen, so their dedup lookup is charged without an event
+// (ValidatorNode::on_gossip_tx) and counted in gossip_dups_suppressed when
+// its key passes; a crash drops those still pending. The fingerprints were
+// pinned from the engine that queued a closure for every copy, and the
+// fingerprint folds in gossip_dups_suppressed per validator.
+Hash32 gossip_crash_run(std::uint64_t seed) {
+  ChaosOptions opts;
+  opts.tvpr = false;
+  opts.plan.seed = seed;
+  opts.plan.default_link.drop = 0.02;
+  opts.plan.default_link.duplicate = 0.2;
+  opts.plan.default_link.reorder = 0.2;
+  const auto victim = static_cast<sim::NodeId>(seed % 4);
+  const SimTime down = millis(700 + 37 * (seed % 13));
+  opts.plan.crashes.push_back({victim, down, down + millis(1500)});
+  opts.tx_count = 100;
+  opts.tx_interval = millis(8);
+  // Slow lookups back the CPUs up, so crashes land among pending ones.
+  opts.costs.gossip_dedup = micros(500);
+  ChaosNet net{opts};
+  net.run_until(seconds(5));
+  net.expect_no_divergence();
+  EXPECT_EQ(net.validators[victim]->metrics().crashes, 1u);
+  return net.fingerprint();
+}
+
+TEST(ChaosGossip, DecidedDedupsReproducePinnedFingerprints) {
+  static constexpr std::array<const char*, 32> kPinned = {{
+      "9beee35223aa9789c3bd83dc6c6f933cae915423e24bb6b92c0abe68430a937c",
+      "862ae65f2f2370b0a198a00facc56ef1b8a23a798e887ec749eba13d2aa57bfb",
+      "a485d994757f4cf2b8e6438e84769f07f733e6f2e297fa4a28a170c8626e0f64",
+      "0e505b4956bdc3ec0c53ac21a6bb85c8cb5a88325c0f212ff1dcfa9cf69fb6b6",
+      "818b64683f759e60f5244c2838519ac19b328ed729fa004d1d27bbf321637d17",
+      "6760c2ac8bea218dceb369a333e98654f486e997a991f743a0b245ff373b439f",
+      "f83331659a051a7637f8b58a868b74281c7770217dd87321c764c3541dbccf82",
+      "6d971810a168e9e221f144f7564938d0f10bb8475789cc84292aed6d6965ea6e",
+      "3d1984347368ba2b9a8e21f472f060bc8c16f31e0a1e249d65454bbf85470f30",
+      "7e1d89803ed6277d09392724c06a2c5e532f7b5dea4f5e65eb2b65fff5b2f104",
+      "79ff535eaef59c767e0e048c833f3d59844435c3dc74b91cc6928ad47c8ef6e0",
+      "8f7eb09baa9775119dee4c0f30794146c16330b3d5066e65f6722aa3f075e081",
+      "56ddefba310b59fb1ea00a63f765997c37940bb55728be6670907522fc81db17",
+      "098508a8e3b7232b05adeed86996596519230f9ac2dc724d83e197fc2195a28c",
+      "5a87d8d0c41ae542c633766a85993f8c1ba4e936928af89f0f40c4cc0229da2f",
+      "da05d2bde0ff025dfd733c79658d6d1f9aa004b2ea03df5f3ed743ebe6336229",
+      "0e4cf3c99094716eecaa2acc55bf6d271e4f85cbd6584572ad1175b1c02b1861",
+      "4d0ae6976cf5a06ead2688bcc0611e3a2a66e3e67036d761954f7dcd91400a03",
+      "145fa8ec684a8863bb93e079d100f6a710917230dc02f98c2d21078ba72e9eb6",
+      "c976705c72c211bdbbb02672f87bf576fd5e30206d20a77cc438876fc5112465",
+      "d89bd97a32cc1650308bde31632794d1b48164eb12148cb87273ff78c2956aa3",
+      "1608029bec6c837e9e946d7af745d8cbeac8ccc6246e6973ac447e55cfdb8014",
+      "d62da1f7836e2d34a8e1edf3572e7f006e42bb3983f91e9108fca092c2d6a123",
+      "268d2931a3e09aae24129a353ae5271d46e0ac895258ecb04240765dead9c3ff",
+      "43c39b28426bdefecc96c74214da94fd188940b884cc9a79e5b5ed0b849e6d1e",
+      "085545a92002480d0cc2b5e17168c625d3a7d900af4590228ca6448c386ccc21",
+      "155c698acf9d9e7049152c5a24c17198f8bb7363d683d16174cb4e8a4cb7de1e",
+      "1eb502baab5717dcef9bf40439d019452172283b69720f15fbd1d2b0b33181f3",
+      "df9ace3e3de43819e3414d4e0c929c7e5ef628204ea337d8f50139c07f06dcd7",
+      "edafa8c5e9b386d6cc5bf9c4a1ce61c983ed2ff74f5dd4868b62d13402bf1031",
+      "fe19520c529f594a767bf4c4ebe75ee77ad47d745fc79d2eb9cf7f1d274ac5fb",
+      "98062791b0b1f43cff7c32c83cb704b8667a8a173bc04cfd70f1c79f235e5a80",
+  }};
+  for (std::uint64_t seed = 1; seed <= kPinned.size(); ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    EXPECT_EQ(gossip_crash_run(seed).hex(), kPinned[seed - 1]);
+  }
+}
+
+/// One gossip-mode validator that is never started, so its CPU runs only
+/// what a test hands it, with a 10 ms dedup lookup. Each copy it is handed
+/// is of a transaction already in its seen row.
+struct DedupRig {
+  static constexpr SimDuration kLookup = millis(10);
+
+  sim::Simulation sim;
+  sim::GossipOverlay overlay{4, 4, 7};
+  std::unique_ptr<ValidatorNode> node;
+  std::shared_ptr<GossipTxMsg> copy = std::make_shared<GossipTxMsg>();
+
+  DedupRig() {
+    const crypto::Identity sender = scheme().make_identity(1000);
+    GenesisSpec genesis;
+    genesis.accounts.push_back({sender.address(), U256{1'000'000'000}});
+    rpm::RpmConfig rpm_config;
+    rpm_config.scheme = &scheme();
+    ValidatorConfig config;
+    config.tvpr = false;
+    config.rpm = false;
+    config.scheme = &scheme();
+    config.costs.gossip_dedup = kLookup;
+    node = std::make_unique<ValidatorNode>(
+        sim, 0, 0, config,
+        std::make_shared<ExecutionOracle>(genesis, evm::BlockContext{},
+                                          scheme()),
+        std::make_shared<rpm::RewardPenaltyMechanism>(rpm_config), &overlay);
+    txn::TxParams params;
+    params.to = scheme().make_identity(5).address();
+    params.value = U256{100};
+    copy->tx = txn::make_tx_ptr(txn::make_signed(params, sender, scheme()));
+    overlay.seen_ledger().mark(0, copy->tx->hash);
+  }
+
+  /// Hand the node a copy at `when`; its lookup finishes kLookup later.
+  void deliver_at(SimTime when) {
+    sim.schedule_at(when, [this] { node->handle_message(1, copy); });
+  }
+  void crash_at(SimTime when) {
+    sim.schedule_at(when, [this] { node->crash(); });
+  }
+  std::uint64_t dups() const { return node->metrics().gossip_dups_suppressed; }
+};
+
+// A crash drops the lookups charged before it that finish after it, as
+// the epoch guard disarmed their closures; one that finished before it
+// counts.
+TEST(ChaosGossip, CrashDropsSeenCopyLookupsStillRunning) {
+  DedupRig rig;
+  rig.deliver_at(millis(1));  // its lookup finishes at 11 ms
+  rig.deliver_at(millis(2));  // queued behind it, finishes at 21 ms
+  rig.crash_at(millis(15));
+  rig.sim.run_until(millis(40));
+  EXPECT_EQ(rig.dups(), 1u);
+}
+
+// A lookup that finishes at the crash's instant fires before the crash only
+// if its key was drawn first.
+TEST(ChaosGossip, SeenCopyLookupEndingAtTheCrashCountsOnlyIfKeyedFirst) {
+  DedupRig crash_first;
+  crash_first.crash_at(millis(11));  // keyed before the lookup's charge
+  crash_first.deliver_at(millis(1));
+  crash_first.sim.run_until(millis(20));
+  EXPECT_EQ(crash_first.dups(), 0u);
+
+  DedupRig lookup_first;
+  lookup_first.deliver_at(millis(1));
+  // Keyed at 2 ms, after the lookup was charged at 1 ms.
+  lookup_first.sim.schedule_at(millis(2),
+                               [&] { lookup_first.crash_at(millis(11)); });
+  lookup_first.sim.run_until(millis(20));
+  EXPECT_EQ(lookup_first.dups(), 1u);
+}
+
+// A lookup counts once the run passes its key: not after a run that ends
+// before it, and, read from an event at its instant, only if that event's
+// key was drawn after the lookup's.
+TEST(ChaosGossip, SeenCopyLookupPastTheRunEndIsNotCounted) {
+  DedupRig rig;
+  rig.deliver_at(millis(1));  // its lookup finishes at 11 ms
+  std::vector<std::uint64_t> read_at_11ms;
+  rig.sim.schedule_at(millis(11), [&] { read_at_11ms.push_back(rig.dups()); });
+  rig.sim.schedule_at(millis(5), [&] {
+    rig.sim.schedule_at(millis(11),
+                        [&] { read_at_11ms.push_back(rig.dups()); });
+  });
+  rig.sim.run_until(millis(11) - 1);
+  EXPECT_EQ(rig.dups(), 0u);
+  rig.sim.run_until(millis(11));
+  EXPECT_EQ(rig.dups(), 1u);
+  EXPECT_EQ(read_at_11ms, (std::vector<std::uint64_t>{0, 1}));
 }
 
 TEST(ChaosDeterminism, IdenticalSeedsProduceIdenticalRuns) {

@@ -6,13 +6,17 @@
 // random latency, bandwidth and faults, whose handlers schedule more of the
 // same; in half of the programs some timers re-arm themselves from their own
 // handler at the same sim time, so a freed timer slot is reused at once.
-// Both engines must fire the same (time, id) sequence.
+// Both engines must fire the same (time, id) sequence. The lane tests at
+// the end cover the lane's block storage; a replacement operator new and
+// delete in this binary count its heap blocks.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <utility>
@@ -23,6 +27,28 @@
 #include "sim/event_loop.hpp"
 #include "sim/fault.hpp"
 #include "sim/network.hpp"
+
+namespace {
+std::size_t g_news = 0;     // operator new calls in this binary
+std::size_t g_deletes = 0;  // operator delete calls on a block
+}  // namespace
+
+// All three out of line, so GCC sees neither malloc() meet operator delete
+// nor free() meet operator new, and warns of no mismatch
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++g_news;
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  if (block != nullptr) ++g_deletes;
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  if (block != nullptr) ++g_deletes;
+  std::free(block);
+}
 
 namespace srbb::sim {
 namespace {
@@ -439,6 +465,112 @@ TEST(EventLanes, PastPushClampsToNow) {
   });
   sim.run_until_idle();
   EXPECT_EQ(fired_at, 100u);
+}
+
+// A lane stores its items in blocks of kItemsPerBlock, today 4 KB of
+// 72-byte {key, Task} items.
+static_assert(WorkLane::kItemsPerBlock == 56);
+
+TEST(EventLaneBlocks, PushesAndFiresAcrossBlockBoundaries) {
+  constexpr std::size_t kItems = 3 * WorkLane::kItemsPerBlock + 5;
+  Simulation sim;
+  WorkLane lane{sim};
+  std::vector<std::size_t> order;
+  // Fill and drain twice: the second pass runs on recycled blocks.
+  for (int pass = 0; pass < 2; ++pass) {
+    order.clear();
+    const SimTime base = sim.now();
+    for (std::size_t i = 0; i < kItems; ++i) {
+      lane.push(base + i / 3, [&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(sim.pending_events(), kItems);
+    sim.run_until_idle();
+    ASSERT_EQ(order.size(), kItems);
+    for (std::size_t i = 0; i < kItems; ++i) ASSERT_EQ(order[i], i);
+  }
+  EXPECT_EQ(sim.head_pushes(), 2u);  // one per pass: the lane never emptied
+}
+
+// The front item runs where it lies while a push from inside it fills its
+// block's last slot and then opens a new block: its capture must still be
+// intact after both (ASan would flag a moved or freed item).
+TEST(EventLaneBlocks, PushFromAFiringItemOpensANewBlock) {
+  Simulation sim;
+  WorkLane lane{sim};
+  std::vector<std::string> order;
+  const auto name = std::make_shared<std::string>("front");
+  lane.push(1, [&, name] {
+    lane.push(2, [&order] { order.emplace_back("fills the block"); });
+    lane.push(2, [&order] { order.emplace_back("opens a block"); });
+    order.push_back(*name);  // read after the pushes
+  });
+  for (std::size_t i = 2; i < WorkLane::kItemsPerBlock; ++i) {
+    lane.push(1, [] {});
+  }
+  sim.run_until_idle();
+  EXPECT_EQ(order, (std::vector<std::string>{"front", "fills the block",
+                                             "opens a block"}));
+  EXPECT_EQ(name.use_count(), 1);
+  EXPECT_EQ(sim.events_processed(), WorkLane::kItemsPerBlock + 1);
+}
+
+// A lane destroyed with items queued in several blocks destroys each
+// capture exactly once and frees its blocks (ASan checks the frees). The
+// simulation is not run again: its heap still points at the lane.
+TEST(EventLaneBlocks, LaneDestroyedWithItemsQueuedReleasesThem) {
+  Simulation sim;
+  const auto token = std::make_shared<int>(0);
+  auto lane = std::make_unique<WorkLane>(sim);
+  for (std::size_t i = 0; i < 3 * WorkLane::kItemsPerBlock; ++i) {
+    lane->push(i, [token] { ++*token; });
+  }
+  sim.run_until(WorkLane::kItemsPerBlock + 3);  // drain a block and a bit
+  EXPECT_EQ(*token, static_cast<int>(WorkLane::kItemsPerBlock + 4));
+  const std::size_t news = g_news;
+  const std::size_t deletes = g_deletes;
+  lane.reset();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(g_news, news);
+  // The lane, its two live blocks and its spare.
+  EXPECT_EQ(g_deletes - deletes, 4u);
+}
+
+// A lane whose length hovers recycles its blocks: no allocation per event
+// once it has reached its working size, and after a drain it holds its last
+// block and one spare, whatever depth it reached.
+TEST(EventLaneBlocks, SteadyStateRecyclesBlocksAndCapsTheSpares) {
+  constexpr std::size_t kDepth = 3 * WorkLane::kItemsPerBlock + 7;
+  Simulation sim;
+  WorkLane lane{sim};
+  std::size_t fired = 0;
+  SimTime t = 0;
+  const auto one_in_one_out = [&](std::size_t events) {
+    for (std::size_t i = 0; i < events; ++i, ++t) {
+      lane.push(t, [&fired] { ++fired; });
+      sim.run_until(t - kDepth + 1);
+    }
+  };
+  for (; t < kDepth; ++t) lane.push(t, [&fired] { ++fired; });
+  sim.run_until(0);
+  // Warm up: the tail may need a block before the head frees its first.
+  one_in_one_out(2 * WorkLane::kItemsPerBlock);
+  const std::size_t news = g_news;
+  one_in_one_out(100 * WorkLane::kItemsPerBlock);
+  EXPECT_EQ(g_news - news, 0u);
+  EXPECT_EQ(fired, 102 * WorkLane::kItemsPerBlock + 1);
+
+  // Drain, then fill to ten blocks and drain again: every block beyond the
+  // lane's last one and the spare goes back to the allocator.
+  sim.run_until_idle();
+  const std::size_t filled_news = g_news;
+  const std::size_t drained_deletes = g_deletes;
+  for (std::size_t i = 0; i < 10 * WorkLane::kItemsPerBlock; ++i) {
+    lane.push(sim.now(), [&fired] { ++fired; });
+  }
+  const std::size_t grown = g_news - filled_news;
+  EXPECT_EQ(grown, 8u);  // ten blocks: the kept one, the spare, eight new
+  sim.run_until_idle();
+  EXPECT_EQ(g_deletes - drained_deletes, grown);
 }
 
 TEST(EventLanesDeathTest, PushBackInTimeAborts) {

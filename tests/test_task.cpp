@@ -185,7 +185,8 @@ TEST(Task, DeliveryAllocatesNothingOfItsOwn) {
   net.attach(&sender);
   net.attach(&receiver);
   const MessagePtr ping = std::make_shared<Ping>();
-  // Warm up: the lanes and their deque maps reach their working size.
+  // Warm up: the lanes reach their working size. Queuing 7,000 deliveries
+  // at once still takes a block per 56 of them, about 0.018 per delivery.
   for (std::size_t i = 0; i < kDeliveries; ++i) net.send(0, 1, ping);
   sim.run_until_idle();
 
@@ -197,7 +198,7 @@ TEST(Task, DeliveryAllocatesNothingOfItsOwn) {
 
   EXPECT_EQ(receiver.stats().messages_received, 2 * kDeliveries);
   EXPECT_EQ(ping.use_count(), 1);
-  EXPECT_LT(static_cast<double>(news) / kDeliveries, 0.25) << news;
+  EXPECT_LT(static_cast<double>(news) / kDeliveries, 0.05) << news;
 }
 
 TEST(Task, ConstructMoveAndInvokeNeverAllocate) {
